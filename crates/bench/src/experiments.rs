@@ -503,7 +503,7 @@ pub fn cmp_interleaving(h: &Harness, scale: Scale, core_counts: &[usize]) -> Vec
                 .map(|pf| CmpJob::new(spec.clone(), pf.clone())),
         );
     }
-    let results = h.run_cmp(&jobs);
+    let results = h.run(&jobs);
     let mut rows = Vec::new();
     let mut cursor = 0;
     for &n in core_counts {
@@ -561,7 +561,7 @@ pub fn cmp_bandwidth(h: &Harness, scale: Scale, core_counts: &[usize]) -> Vec<Cm
             );
         }
     }
-    let results = h.run_cmp(&jobs);
+    let results = h.run(&jobs);
     let mut rows = Vec::new();
     let mut cursor = 0;
     for (_, _, label) in bws {

@@ -335,7 +335,7 @@ pub fn cmd_shutdown(addr: &str) -> i32 {
 
 /// `repro sweep`: the same grid run in-process — the local half of the
 /// byte-identity contract `repro submit` is tested against. A `cores`
-/// axis adds multi-core CMP cells through [`Harness::run_cmp_outcomes`]
+/// axis adds multi-core CMP cells through [`Harness::run_outcomes`]
 /// (the discrete-event engine), assembled through the same
 /// `results_doc_cmp` renderer the service client uses.
 pub fn cmd_sweep_local(
@@ -360,22 +360,14 @@ pub fn cmd_sweep_local(
         .filter(|j| seen.insert(j.id()))
         .cloned()
         .collect();
-    let cmp_outcomes = h.run_cmp_outcomes(&unique_cmp);
-    let cmp_rows: Vec<ebcp_harness::CmpResultRow> = unique_cmp
-        .iter()
-        .zip(&cmp_outcomes)
-        .map(|(job, outcome)| ebcp_harness::CmpResultRow {
-            id: job.id(),
-            cell: job.spec.name.clone(),
-            prefetcher: job.pf.name().to_string(),
-            cores: job.cores() as u64,
-            outcome: outcome.clone(),
-        })
-        .collect();
+    let cmp_outcomes = h.run_outcomes(&unique_cmp);
     let failed = outcomes.iter().filter(|o| o.is_failed()).count()
         + cmp_outcomes.iter().filter(|o| o.is_failed()).count();
-    let doc =
-        ebcp_harness::results_doc_cmp(jobs_vec.len() + cmp_vec.len(), &h.result_rows(), &cmp_rows);
+    let doc = ebcp_harness::results_doc_cmp(
+        jobs_vec.len() + cmp_vec.len(),
+        &h.result_rows(),
+        &h.cmp_result_rows(),
+    );
     if let Err(e) = write_doc(out, &doc) {
         eprintln!("error: could not write {}: {e}", out.display());
         return 3;

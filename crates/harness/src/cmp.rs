@@ -2,27 +2,29 @@
 //!
 //! A [`CmpJob`] pairs a [`CmpSpec`] (one workload × seed per core over
 //! one shared machine) with a [`PrefetcherSpec`], mirroring the
-//! single-core [`Job`]. CMP cells get the same treatment single-core
-//! cells do: dedup + memoization by content hash, checksummed on-disk
-//! result entries (quarantine + self-heal on corruption), per-core
-//! pre-resolved streams shared through the harness's warm `pres` map
-//! *and* the `preres/` disk cache — each core's stream is exactly the
-//! stream of its single-core [`CmpJob::core_job`], so CMP and
-//! single-core cells are cache currency for each other — and
-//! panic-isolated execution with the retry-once policy
-//! ([`crate::Harness::run_cmp_outcomes`]).
+//! single-core [`Job`]. Both implement [`Cell`], so a CMP cell goes
+//! through the one harness lifecycle ([`crate::Harness::run_outcomes`]):
+//! dedup + memoization by content hash, checksummed on-disk result
+//! entries (`<id>.cmp.json`; quarantine + self-heal on corruption), the
+//! worker pool with panic isolation and the retry-once policy, and
+//! records in `failures()`, `results.json` and `telemetry.json`. What
+//! this module supplies is only the CMP side of [`Cell`]: identity, the
+//! result codec and how one cell runs — per-core pre-resolved streams
+//! from the harness's warm `pres` map *and* the `preres/` disk cache
+//! (each core's stream is exactly the stream of its single-core
+//! [`CmpJob::core_job`], so CMP and single-core cells are cache
+//! currency for each other), replayed on the discrete-event engine.
 
-use std::fs;
-use std::io;
-use std::path::PathBuf;
+use std::collections::HashMap;
+use std::sync::{mpsc, Arc, Mutex};
 
+use ebcp_sim::frontend::PreResolved;
 use ebcp_sim::{CmpResult, CmpSpec, PrefetcherSpec, SimResult};
 
 use crate::job::{fnv1a64, Job, JobId};
-use crate::json::{self, Value};
-use crate::store::{
-    quarantine, result_from_json, result_to_json, unique_tmp, CacheRead, ResultStore,
-};
+use crate::json::Value;
+use crate::store::{result_from_json, result_to_json};
+use crate::{Cell, CmpOutcome, Event, Harness};
 
 /// Schema tag mixed into every CMP canonical string; versioned
 /// independently of the single-core [`crate::job::CANON_VERSION`]
@@ -94,44 +96,6 @@ impl CmpJob {
     }
 }
 
-/// How one CMP job ended — the multi-core analogue of
-/// [`crate::JobOutcome`], with the same retry semantics.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CmpOutcome {
-    /// Simulated (or served from a cache) successfully.
-    Ok(CmpResult),
-    /// First attempt panicked; the retry succeeded.
-    Retried(CmpResult),
-    /// Both attempts panicked; memoized as failed, nothing cached.
-    Failed {
-        /// The second attempt's panic message.
-        reason: String,
-    },
-}
-
-impl CmpOutcome {
-    /// The result, unless the job failed.
-    pub const fn result(&self) -> Option<&CmpResult> {
-        match self {
-            CmpOutcome::Ok(r) | CmpOutcome::Retried(r) => Some(r),
-            CmpOutcome::Failed { .. } => None,
-        }
-    }
-
-    /// The failure reason, if the job failed.
-    pub fn failure(&self) -> Option<&str> {
-        match self {
-            CmpOutcome::Failed { reason } => Some(reason),
-            _ => None,
-        }
-    }
-
-    /// True for [`CmpOutcome::Failed`].
-    pub const fn is_failed(&self) -> bool {
-        matches!(self, CmpOutcome::Failed { .. })
-    }
-}
-
 /// Encodes a [`CmpResult`] as JSON: per-core results plus the
 /// aggregate, each in the standard [`result_to_json`] shape.
 pub fn cmp_result_to_json(r: &CmpResult) -> Value {
@@ -158,88 +122,59 @@ pub fn cmp_result_from_json(v: &Value) -> Option<CmpResult> {
     })
 }
 
-impl ResultStore {
-    /// The on-disk path of a CMP job's entry: same 2-hex sharding as
-    /// single-core entries, `.cmp.json` suffix so the two result shapes
-    /// never collide on a file name.
-    pub fn cmp_entry_path(&self, job: &CmpJob) -> PathBuf {
-        let name = format!("{}.cmp.json", job.id());
-        self.dir().join(&name[..2]).join(name)
+impl Cell for CmpJob {
+    type Result = CmpResult;
+    const SCHEMA: u64 = CMP_SCHEMA;
+    const SUFFIX: &'static str = ".cmp.json";
+
+    fn canonical(&self) -> String {
+        CmpJob::canonical(self)
+    }
+    fn label(&self) -> String {
+        CmpJob::label(self)
+    }
+    fn records(&self) -> u64 {
+        CmpJob::records(self)
+    }
+    fn row_names(&self) -> (String, String, Option<u64>) {
+        (
+            self.spec.name.clone(),
+            self.pf.name(),
+            Some(self.cores() as u64),
+        )
+    }
+    fn encode(r: &CmpResult) -> Value {
+        cmp_result_to_json(r)
+    }
+    fn decode(v: &Value) -> Option<CmpResult> {
+        cmp_result_from_json(v)
+    }
+    fn memo(h: &Harness) -> &Mutex<HashMap<JobId, CmpOutcome>> {
+        &h.cmp_memo
     }
 
-    /// Integrity-checked load of a CMP entry — same contract as
-    /// [`ResultStore::load_checked`]: valid hit, plain miss (absent /
-    /// stale schema / hash collision), or quarantined corruption.
-    pub fn load_checked_cmp(&self, job: &CmpJob) -> CacheRead<CmpResult> {
-        let path = self.cmp_entry_path(job);
-        let Ok(text) = fs::read_to_string(&path) else {
-            return CacheRead::Miss;
-        };
-        let Ok(v) = json::parse(&text) else {
-            return quarantine(path, "unparsable JSON".into());
-        };
-        let Some(schema) = v.get("schema").and_then(Value::as_u64) else {
-            return quarantine(path, "missing schema field".into());
-        };
-        if schema != CMP_SCHEMA {
-            return CacheRead::Miss;
-        }
-        match v.get("job").and_then(Value::as_str) {
-            None => return quarantine(path, "missing job field".into()),
-            Some(canon) if canon != job.canonical() => return CacheRead::Miss,
-            Some(_) => {}
-        }
-        let Some(result) = v.get("result") else {
-            return quarantine(path, "missing result field".into());
-        };
-        match v.get("checksum").and_then(Value::as_str) {
-            Some(stored) if stored == cmp_checksum(result) => {}
-            Some(_) => return quarantine(path, "checksum mismatch".into()),
-            None => return quarantine(path, "missing checksum field".into()),
-        }
-        match cmp_result_from_json(result) {
-            Some(r) => CacheRead::Hit(r),
-            None => quarantine(path, "undecodable result".into()),
-        }
+    /// Resolves every core's stream through the harness's warm map,
+    /// then runs the cell on the discrete-event engine. A CMP cell is a
+    /// unit of one, and never takes the bounded-memory streamed path:
+    /// the engine interleaves all cores' streams by cycle, so it holds
+    /// them whole.
+    fn run(&self, h: &Harness, _per_worker: u64, tx: &mpsc::Sender<Event>) -> CmpResult {
+        let streams: Vec<Arc<PreResolved>> = (0..self.cores())
+            .map(|k| h.warm_pre(&self.core_job(k), tx))
+            .collect();
+        let refs: Vec<&PreResolved> = streams.iter().map(Arc::as_ref).collect();
+        self.spec.run_streams(&refs, &self.pf)
     }
-
-    /// Persists a CMP result (atomic write-temp-rename, pid- and
-    /// sequence-unique temp names — see [`ResultStore::save`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures; callers may treat them as non-fatal.
-    pub fn save_cmp(&self, job: &CmpJob, result: &CmpResult) -> io::Result<()> {
-        let result_json = cmp_result_to_json(result);
-        let doc = Value::Obj(vec![
-            ("schema".into(), Value::Int(CMP_SCHEMA)),
-            ("id".into(), Value::Str(job.id().to_string())),
-            ("job".into(), Value::Str(job.canonical())),
-            ("checksum".into(), Value::Str(cmp_checksum(&result_json))),
-            ("result".into(), result_json),
-        ]);
-        let path = self.cmp_entry_path(job);
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
-        let tmp = unique_tmp(&path, "json");
-        fs::write(&tmp, doc.to_json_pretty())?;
-        fs::rename(&tmp, &path)
-    }
-}
-
-/// FNV-1a over the compact result encoding (whitespace-proof).
-fn cmp_checksum(result: &Value) -> String {
-    format!("{:016x}", fnv1a64(result.to_json().as_bytes()))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::json;
     use ebcp_sim::SimConfig;
     use ebcp_trace::WorkloadSpec;
 
-    fn sample_spec(cores: usize) -> CmpSpec {
+    pub(crate) fn sample_spec(cores: usize) -> CmpSpec {
         CmpSpec::homogeneous(
             WorkloadSpec::database().scaled(1, 32),
             cores,
@@ -249,7 +184,7 @@ mod tests {
         )
     }
 
-    fn sample_result(cores: usize) -> CmpResult {
+    pub(crate) fn sample_result(cores: usize) -> CmpResult {
         CmpResult {
             cores: (0..cores)
                 .map(|k| SimResult {
@@ -305,66 +240,5 @@ mod tests {
         assert_eq!(cmp.core_job(1).pre_key(), single.pre_key());
         // Different cores read different seeds, hence different streams.
         assert_ne!(cmp.core_job(0).pre_key(), cmp.core_job(1).pre_key());
-    }
-
-    #[test]
-    fn cmp_store_save_then_load() {
-        let dir = std::env::temp_dir().join(format!("ebcp-cmpstore-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = ResultStore::open(&dir).unwrap();
-        let job = CmpJob::new(sample_spec(2), PrefetcherSpec::None);
-        assert_eq!(store.load_checked_cmp(&job), CacheRead::Miss);
-        let r = sample_result(2);
-        store.save_cmp(&job, &r).unwrap();
-        assert_eq!(store.load_checked_cmp(&job), CacheRead::Hit(r));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_cmp_entry_is_quarantined_and_heals() {
-        let dir = std::env::temp_dir().join(format!("ebcp-cmpstore-q-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = ResultStore::open(&dir).unwrap();
-        let job = CmpJob::new(sample_spec(2), PrefetcherSpec::None);
-        store.save_cmp(&job, &sample_result(2)).unwrap();
-        let path = store.cmp_entry_path(&job);
-        let mut bytes = fs::read(&path).unwrap();
-        let at = bytes
-            .windows(5)
-            .position(|w| w == b"9000,")
-            .expect("per-core cycle count must appear");
-        bytes[at] = b'7';
-        fs::write(&path, &bytes).unwrap();
-        match store.load_checked_cmp(&job) {
-            CacheRead::Quarantined { path: q, reason } => {
-                assert!(reason.contains("checksum"), "{reason}");
-                assert!(q.to_string_lossy().ends_with(".corrupt"));
-            }
-            other => panic!("expected quarantine, got {other:?}"),
-        }
-        // Self-heal: a fresh save overwrites and reads back.
-        store.save_cmp(&job, &sample_result(2)).unwrap();
-        assert_eq!(
-            store.load_checked_cmp(&job),
-            CacheRead::Hit(sample_result(2))
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_cmp_schema_is_a_plain_miss() {
-        let dir = std::env::temp_dir().join(format!("ebcp-cmpstore-s-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = ResultStore::open(&dir).unwrap();
-        let job = CmpJob::new(sample_spec(2), PrefetcherSpec::None);
-        store.save_cmp(&job, &sample_result(2)).unwrap();
-        let path = store.cmp_entry_path(&job);
-        let text = fs::read_to_string(&path)
-            .unwrap()
-            .replace("\"schema\": 1", "\"schema\": 0");
-        fs::write(&path, text).unwrap();
-        assert_eq!(store.load_checked_cmp(&job), CacheRead::Miss);
-        assert!(path.exists(), "stale entries are not quarantined");
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -2,19 +2,23 @@
 //!
 //! The harness sits between the simulator (`ebcp-sim`) and the
 //! experiment drivers (`ebcp-bench`). Drivers describe work as
-//! content-addressed [`Job`]s — a `RunSpec` × `PrefetcherSpec` pair —
-//! and submit batches to a [`Harness`], which:
+//! content-addressed [`Cell`]s — a single-core [`Job`] (`RunSpec` ×
+//! `PrefetcherSpec`) or a multi-core [`CmpJob`] (`CmpSpec` ×
+//! `PrefetcherSpec`) — and submit batches to a [`Harness`]. Both kinds
+//! share one lifecycle ([`Harness::run_outcomes`]), which:
 //!
 //! - **deduplicates** by content hash, so the no-prefetch baseline a
 //!   dozen figures share runs exactly once per workload;
+//! - **caches** results in an in-process memo and on disk
+//!   ([`ResultStore`]), making re-runs incremental across processes;
 //! - **parallelizes** across a `std::thread` worker pool, running every
-//!   job two-phase: one `Arc`-shared pre-resolved L1 event stream per
+//!   cell two-phase: one `Arc`-shared pre-resolved L1 event stream per
 //!   `(workload, seed, length, L1 geometry)` feeds back-end-only
 //!   replays, so a prefetcher sweep pays the front-end cost once per
 //!   workload (streams are built by chunked generation — constant
-//!   memory — and disk-cached under `preres/`);
-//! - **caches** results on disk ([`ResultStore`]), making re-runs
-//!   incremental across processes;
+//!   memory — and disk-cached under `preres/`). Single-core jobs that
+//!   share a stream replay in lockstep; a CMP cell feeds each core's
+//!   stream to the discrete-event engine;
 //! - **reports** progress and throughput over a telemetry channel,
 //!   republishing every event on a harness-lifetime [`EventBus`] (the
 //!   seam the sweep service streams live telemetry through), and writes
@@ -22,9 +26,9 @@
 //!   (byte-identical for any worker count, cache state, or transport —
 //!   see [`results_doc`]) and a volatile `telemetry.json` (timings,
 //!   rates, cache provenance);
-//! - **isolates faults**: a job whose simulation panics is caught
+//! - **isolates faults**: a cell whose simulation panics is caught
 //!   ([`std::panic::catch_unwind`]), retried once, and — if it fails
-//!   again — recorded as [`JobOutcome::Failed`] without disturbing its
+//!   again — recorded as [`Outcome::Failed`] without disturbing its
 //!   siblings, whose results stay cached; corrupt cache entries are
 //!   quarantined (`*.corrupt`) and transparently re-run (self-heal).
 //!
@@ -32,12 +36,11 @@
 //! worker count: the simulator is deterministic and assembly never
 //! depends on completion order.
 //!
-//! [`Harness::run`] is the strict entry point: any failed job makes it
+//! [`Harness::run`] is the strict entry point: any failed cell makes it
 //! panic with a summary naming the failed cells (after the whole batch
 //! has executed, so sibling results are already memoized and cached).
 //! [`Harness::run_outcomes`] is the keep-going entry point: it returns
-//! one [`JobOutcome`] per submitted job and never panics on job
-//! failure.
+//! one [`Outcome`] per submitted cell and never panics on cell failure.
 //!
 //! # Examples
 //!
@@ -73,20 +76,20 @@ pub mod store;
 pub mod telemetry;
 pub mod traces;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{hash_map, HashMap, VecDeque};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ebcp_sim::frontend::{PreResolved, PreResolver};
 use ebcp_sim::{run_pipelined, run_preresolved_blocks, run_preresolved_blocks_many};
-use ebcp_sim::{Engine, SimResult};
+use ebcp_sim::{CmpResult, Engine, PrefetcherSpec, SimResult};
 use ebcp_trace::template::WorkloadProgram;
 use ebcp_trace::{Backing, ChunkSource, TraceGenerator};
 
-pub use crate::cmp::{CmpJob, CmpOutcome, CMP_CANON_VERSION};
+pub use crate::cmp::{CmpJob, CMP_CANON_VERSION};
 pub use crate::job::{fnv1a64, Fnv64, Job, JobId};
 pub use crate::json::Value;
 pub use crate::queue::{JobService, QueueConfig, ServiceStatus, SubmitError};
@@ -101,7 +104,7 @@ pub use crate::store::{
 pub use crate::telemetry::{Event, EventBus, Progress, ResultSource, RunSummary};
 
 /// Poison-recovering lock. A panic inside a worker is caught and
-/// converted to a [`JobOutcome::Failed`], but if one ever unwinds while
+/// converted to an [`Outcome::Failed`], but if one ever unwinds while
 /// a guard is held (e.g. out of a hook the catch does not cover), the
 /// mutex is *poisoned* — and the data it protects (queues of indices,
 /// append-only output slots, counters) is still perfectly valid: no
@@ -123,17 +126,66 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// How one job ended.
+/// Reports a quarantined cache file from a worker; the submitting
+/// thread counts it and republishes it on the bus.
+fn report_quarantine(tx: &mpsc::Sender<Event>, path: &Path, reason: String) {
+    let path = path.display().to_string();
+    let _ = tx.send(Event::CacheQuarantined { path, reason });
+}
+
+/// The worker pool: `workers` scoped threads drain the indices `0..n`
+/// in FIFO order, each running `work(state, i)` with its own clone of
+/// `state`. The submitting thread runs `on_main` meanwhile, after the
+/// original `state` is dropped — so a channel sender passed as `state`
+/// disconnects exactly when the last worker exits. Outputs come back in
+/// index order.
+fn work_queue<S, R>(
+    workers: usize,
+    n: usize,
+    state: S,
+    work: impl Fn(&S, usize) -> R + Sync,
+    on_main: impl FnOnce(),
+) -> Vec<R>
+where
+    S: Clone + Send,
+    R: Send,
+{
+    let queue: Mutex<VecDeque<usize>> = Mutex::new((0..n).collect());
+    let outputs: Mutex<Vec<Option<R>>> =
+        Mutex::new(std::iter::repeat_with(|| None).take(n).collect());
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            let (state, queue, outputs, work) = (state.clone(), &queue, &outputs, &work);
+            s.spawn(move || loop {
+                let Some(i) = lock(queue).pop_front() else {
+                    break;
+                };
+                let r = work(&state, i);
+                lock(outputs)[i] = Some(r);
+            });
+        }
+        drop(state);
+        on_main();
+    });
+    outputs
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .into_iter()
+        .map(|r| r.expect("worker completed every queued item"))
+        .collect()
+}
+
+/// How one cell ended.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JobOutcome {
+pub enum Outcome<R> {
     /// Simulated (or served from a cache) successfully.
-    Ok(SimResult),
+    Ok(R),
     /// First attempt panicked; the retry succeeded. The result is as
-    /// trustworthy as an [`JobOutcome::Ok`] one — the simulator is
+    /// trustworthy as an [`Outcome::Ok`] one — the simulator is
     /// deterministic, so a one-shot panic means external interference
     /// (e.g. a blown fault-injection fuse), not flakiness in the result.
-    Retried(SimResult),
-    /// Both attempts panicked. The job is memoized as failed — it will
+    Retried(R),
+    /// Both attempts panicked. The cell is memoized as failed — it will
     /// not be retried by later batches — and nothing was cached.
     Failed {
         /// The second attempt's panic message.
@@ -141,26 +193,214 @@ pub enum JobOutcome {
     },
 }
 
-impl JobOutcome {
-    /// The result, unless the job failed.
-    pub const fn result(&self) -> Option<&SimResult> {
+impl<R> Outcome<R> {
+    /// The result, unless the cell failed.
+    pub const fn result(&self) -> Option<&R> {
         match self {
-            JobOutcome::Ok(r) | JobOutcome::Retried(r) => Some(r),
-            JobOutcome::Failed { .. } => None,
+            Outcome::Ok(r) | Outcome::Retried(r) => Some(r),
+            Outcome::Failed { .. } => None,
         }
     }
 
-    /// The failure reason, if the job failed.
+    /// The failure reason, if the cell failed.
     pub fn failure(&self) -> Option<&str> {
         match self {
-            JobOutcome::Failed { reason } => Some(reason),
+            Outcome::Failed { reason } => Some(reason),
             _ => None,
         }
     }
 
-    /// True for [`JobOutcome::Failed`].
+    /// True for [`Outcome::Failed`].
     pub const fn is_failed(&self) -> bool {
-        matches!(self, JobOutcome::Failed { .. })
+        matches!(self, Outcome::Failed { .. })
+    }
+}
+
+/// How a single-core [`Job`] ended.
+pub type JobOutcome = Outcome<SimResult>;
+
+/// How a multi-core [`CmpJob`] ended.
+pub type CmpOutcome = Outcome<CmpResult>;
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for crate::Job {}
+    impl Sealed for crate::CmpJob {}
+}
+
+/// A content-addressed unit of harness work: a single-core [`Job`] or a
+/// multi-core [`CmpJob`]. Everything that differs between the two
+/// — identity, store entry shape, which memo holds the outcome and how
+/// one unit executes — lives here; the lifecycle around it (dedup,
+/// memo, disk, pool, retry, telemetry) is [`Harness::run_outcomes`].
+///
+/// Sealed: the harness's scheduling and cache invariants are only
+/// proven for these two kinds.
+pub trait Cell: sealed::Sealed + std::fmt::Debug + PartialEq + Sync {
+    /// What one successful run produces.
+    type Result: Clone + Send;
+    /// On-disk schema version of the cell's store entries.
+    const SCHEMA: u64;
+    /// Store entry file-name suffix after the id (`.json`, `.cmp.json`).
+    const SUFFIX: &'static str;
+
+    /// The canonical string stored with the entry (collision guard).
+    fn canonical(&self) -> String;
+    /// Content hash over [`Cell::canonical`].
+    fn id(&self) -> JobId {
+        JobId(fnv1a64(self.canonical().as_bytes()))
+    }
+    /// Short human label for telemetry and failure summaries.
+    fn label(&self) -> String;
+    /// Trace records the cell consumes, across all cores.
+    fn records(&self) -> u64;
+    /// `(workload or CMP cell name, prefetcher, cores of a CMP cell)`:
+    /// the identity columns of the cell's `results.json` row.
+    fn row_names(&self) -> (String, String, Option<u64>);
+    /// Encodes a result for the store and `results.json`.
+    fn encode(r: &Self::Result) -> Value;
+    /// Decodes [`Cell::encode`]'s output; `None` on any malformed field.
+    fn decode(v: &Value) -> Option<Self::Result>;
+    #[doc(hidden)]
+    /// The memo this kind of cell lives in.
+    fn memo(h: &Harness) -> &Mutex<HashMap<JobId, Outcome<Self::Result>>>;
+    #[doc(hidden)]
+    /// A reason to fail the cell up front, before any cache or run.
+    fn reject(&self) -> Option<String> {
+        None
+    }
+    #[doc(hidden)]
+    /// Partitions pending cells into execution units (indices into
+    /// `cells`, first-submission order); by default one cell per unit.
+    fn units(cells: &[&Self], _lockstep: bool) -> Vec<Vec<usize>> {
+        (0..cells.len()).map(|i| vec![i]).collect()
+    }
+    #[doc(hidden)]
+    /// One attempt at one cell. Panics propagate to the caller's
+    /// `catch_unwind`.
+    fn run(&self, h: &Harness, per_worker: u64, tx: &mpsc::Sender<Event>) -> Self::Result;
+    #[doc(hidden)]
+    /// First attempts for a multi-cell unit, one entry per member.
+    fn run_lockstep(
+        unit: &[&Self],
+        h: &Harness,
+        per_worker: u64,
+        tx: &mpsc::Sender<Event>,
+    ) -> Vec<Result<Self::Result, String>> {
+        unit.iter().map(|c| Ok(c.run(h, per_worker, tx))).collect()
+    }
+}
+
+impl Cell for Job {
+    type Result = SimResult;
+    const SCHEMA: u64 = store::SCHEMA;
+    const SUFFIX: &'static str = ".json";
+
+    fn canonical(&self) -> String {
+        Job::canonical(self)
+    }
+    fn label(&self) -> String {
+        Job::label(self)
+    }
+    fn records(&self) -> u64 {
+        Job::records(self)
+    }
+    fn row_names(&self) -> (String, String, Option<u64>) {
+        (self.spec.workload.name.clone(), self.pf.name(), None)
+    }
+    fn encode(r: &SimResult) -> Value {
+        store::result_to_json(r)
+    }
+    fn decode(v: &Value) -> Option<SimResult> {
+        store::result_from_json(v)
+    }
+    fn memo(h: &Harness) -> &Mutex<HashMap<JobId, JobOutcome>> {
+        &h.memo
+    }
+
+    /// A single-core `Job` over a CMP *per-core* workload is a
+    /// capability mismatch, not a queueing problem: its trace lives in
+    /// one core's private address space and only means something
+    /// interleaved with its co-runners through the shared L2 — which is
+    /// what a [`CmpJob`] runs. Reject with a precise error naming the
+    /// routing fix instead of quietly simulating a meaningless
+    /// single-core run. The rejection is memoized like any other
+    /// failure and never disk-cached.
+    fn reject(&self) -> Option<String> {
+        let w = &self.spec.workload;
+        (w.addr_space != 0).then(|| {
+            format!(
+                "single-core Job cannot represent CMP per-core workload '{}' (addr_space {}): \
+                 submit the whole cell as a CmpJob via Harness::run, which routes it through \
+                 the discrete-event CMP engine",
+                w.name, w.addr_space
+            )
+        })
+    }
+
+    /// With `lockstep`, groups jobs that share one pre-resolved stream
+    /// AND one full `RunSpec` into lockstep units: one replay pass over
+    /// the shared event stream drives all their prefetcher lanes
+    /// (`ebcp_sim::Lockstep`). Unit order follows first-member
+    /// submission order; members keep submission order, so results stay
+    /// deterministic.
+    fn units(cells: &[&Job], lockstep: bool) -> Vec<Vec<usize>> {
+        let mut units: Vec<Vec<usize>> = Vec::new();
+        let mut by_key: HashMap<u64, Vec<usize>> = HashMap::new();
+        for (idx, job) in cells.iter().enumerate() {
+            let candidates = by_key.entry(job.pre_key()).or_default();
+            // The pre-key covers workload/seed/length/L1; lanes must
+            // also agree on the rest of the machine (`SimConfig`).
+            match candidates
+                .iter()
+                .find(|&&u| lockstep && cells[units[u][0]].spec == job.spec)
+            {
+                Some(&u) => units[u].push(idx),
+                None => {
+                    candidates.push(units.len());
+                    units.push(vec![idx]);
+                }
+            }
+        }
+        units
+    }
+
+    /// Front end (shared, disk-cached) + back-end replay — or, when the
+    /// stream would not fit the worker's budget share, the
+    /// bounded-memory streamed path.
+    fn run(&self, h: &Harness, per_worker: u64, tx: &mpsc::Sender<Event>) -> SimResult {
+        if let Some(seg_records) = h.stream_plan(self, per_worker) {
+            return h.run_streamed(self, seg_records, tx);
+        }
+        self.spec.run_preresolved(&h.warm_pre(self, tx), &self.pf)
+    }
+
+    /// One lockstep pass over the lead's stream drives every lane.
+    /// `Lockstep` catches per-lane panics itself, so a faulting lane
+    /// surfaces as its own `Err`.
+    fn run_lockstep(
+        unit: &[&Job],
+        h: &Harness,
+        per_worker: u64,
+        tx: &mpsc::Sender<Event>,
+    ) -> Vec<Result<SimResult, String>> {
+        let lead = unit[0];
+        let pfs: Vec<PrefetcherSpec> = unit.iter().map(|j| j.pf.clone()).collect();
+        if let Some(seg_records) = h.stream_plan(lead, per_worker) {
+            if let Some(dir) = h.store_dir() {
+                // One disk pass over the cached block stream drives every
+                // lane — lockstep amortization at O(segment) memory.
+                let mut stream = h.prepare_stream(dir, lead, seg_records, tx);
+                return run_preresolved_blocks_many(&lead.spec, stream.blocks(), &pfs);
+            }
+            // No disk to stream blocks from: each lane runs the
+            // bounded-memory pipelined path on its own.
+            return unit
+                .iter()
+                .map(|j| Ok(h.run_streamed(j, seg_records, tx)))
+                .collect();
+        }
+        lead.spec.run_preresolved_many(&h.warm_pre(lead, tx), &pfs)
     }
 }
 
@@ -211,29 +451,50 @@ impl Default for HarnessConfig {
     }
 }
 
-/// Per-job entry for the consolidated `results.json`, created in
-/// submission order so the file is deterministic.
+/// Per-cell entry for `results.json` and `telemetry.json`, created in
+/// submission order so the files are deterministic.
 #[derive(Debug, Clone)]
 struct JobRecord {
     id: JobId,
+    /// Workload preset name, or the CMP cell name.
     workload: String,
     prefetcher: String,
+    /// Cores of a CMP cell; `None` for a single-core job.
+    cores: Option<u64>,
     source: ResultSource,
     wall_ms: Option<u64>,
     insts_per_sec: Option<f64>,
-    /// The job succeeded only on its second attempt.
+    /// The cell succeeded only on its second attempt.
     retried: bool,
-    /// Panic message when the job failed on both attempts.
+    /// Panic message when the cell failed on both attempts.
     error: Option<String>,
 }
 
 impl JobRecord {
-    /// Human label matching [`Job::label`].
-    fn label(&self) -> String {
-        format!("{} x {}", self.workload, self.prefetcher)
+    fn new<C: Cell>(cell: &C, source: ResultSource) -> Self {
+        let (workload, prefetcher, cores) = cell.row_names();
+        JobRecord {
+            id: cell.id(),
+            workload,
+            prefetcher,
+            cores,
+            source,
+            wall_ms: None,
+            insts_per_sec: None,
+            retried: false,
+            error: None,
+        }
     }
 
-    /// The `outcome` tag written to `results.json`.
+    /// Human label matching [`Job::label`] / [`CmpJob::label`].
+    fn label(&self) -> String {
+        match self.cores {
+            None => format!("{} x {}", self.workload, self.prefetcher),
+            Some(n) => format!("{}@{n}c x {}", self.workload, self.prefetcher),
+        }
+    }
+
+    /// The `outcome` tag written to `telemetry.json`.
     fn outcome_tag(&self) -> &'static str {
         if self.error.is_some() {
             "failed"
@@ -243,20 +504,6 @@ impl JobRecord {
             "ok"
         }
     }
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    submitted: usize,
-    unique: usize,
-    executed: usize,
-    memo_hits: usize,
-    disk_hits: usize,
-    failed: usize,
-    retried: usize,
-    quarantined: usize,
-    records_simulated: u64,
-    wall: Duration,
 }
 
 /// The job-execution engine. See the crate docs for the full contract.
@@ -269,19 +516,23 @@ pub struct Harness {
     workers: usize,
     store: Option<ResultStore>,
     memo: Mutex<HashMap<JobId, JobOutcome>>,
-    records: Mutex<Vec<JobRecord>>,
-    counters: Mutex<Counters>,
-    /// Pre-resolved event streams, keyed by [`Job::pre_key`] and shared
-    /// across batches for the harness's whole lifetime — in the sweep
-    /// daemon, this is the warm cache that makes a repeat sweep's front
-    /// end free. One stream is built (or disk-loaded) exactly once: the
-    /// first worker to need it initializes the `OnceLock` while others
-    /// block on `get_or_init`, then all share the `Arc`.
-    pres: Mutex<HashMap<u64, Arc<OnceLock<Arc<PreResolved>>>>>,
-    /// Outcomes of CMP cells ([`CmpJob`]), memoized separately from the
-    /// single-core memo because the result shapes differ; identity and
-    /// lifetime rules are the same.
+    /// Outcomes of CMP cells ([`CmpJob`]), memoized apart from `memo`
+    /// because the result shapes differ; identity and lifetime rules
+    /// are the same.
     cmp_memo: Mutex<HashMap<JobId, CmpOutcome>>,
+    /// One record per unique cell per batch, both kinds interleaved in
+    /// submission order.
+    records: Mutex<Vec<JobRecord>>,
+    /// Running totals, reported as they are by [`Harness::summary`].
+    counters: Mutex<RunSummary>,
+    /// Pre-resolved event streams, keyed by [`Job::pre_key`] and shared
+    /// across batches — and between single-core jobs and CMP cores —
+    /// for the harness's whole lifetime. In the sweep daemon, this is
+    /// the warm cache that makes a repeat sweep's front end free. One
+    /// stream is built (or disk-loaded) exactly once: the first worker
+    /// to need it initializes the `OnceLock` while others block on
+    /// `get_or_init`, then all share the `Arc`.
+    pres: Mutex<HashMap<u64, Arc<OnceLock<Arc<PreResolved>>>>>,
     /// Fan-out republisher for telemetry [`Event`]s.
     bus: EventBus,
 }
@@ -313,10 +564,10 @@ impl Harness {
             workers,
             store,
             memo: Mutex::new(HashMap::new()),
-            records: Mutex::new(Vec::new()),
-            counters: Mutex::new(Counters::default()),
-            pres: Mutex::new(HashMap::new()),
             cmp_memo: Mutex::new(HashMap::new()),
+            records: Mutex::new(Vec::new()),
+            counters: Mutex::new(RunSummary::default()),
+            pres: Mutex::new(HashMap::new()),
             bus: EventBus::new(),
         }
     }
@@ -368,25 +619,25 @@ impl Harness {
     pub fn warm_streams(&self) -> usize {
         lock(&self.pres)
             .values()
-            .filter(|cell| cell.get().is_some())
+            .filter(|slot| slot.get().is_some())
             .count()
     }
 
-    /// Resolves a batch of jobs, returning results in submission order.
+    /// Resolves a batch of cells, returning results in submission order.
     ///
     /// Duplicates — within the batch, against earlier batches, or
     /// against the on-disk store — are served without simulating.
     ///
-    /// This is the **strict** entry point: every job must succeed.
+    /// This is the **strict** entry point: every cell must succeed.
     ///
     /// # Panics
     ///
-    /// Panics with a summary naming the failed cells if any job failed
+    /// Panics with a summary naming the failed cells if any cell failed
     /// (panicked on both attempts). The panic is raised only after the
     /// whole batch has executed, so sibling results are already
     /// memoized and cached; use [`Harness::run_outcomes`] to keep going
     /// instead.
-    pub fn run(&self, jobs: &[Job]) -> Vec<SimResult> {
+    pub fn run<C: Cell>(&self, jobs: &[C]) -> Vec<C::Result> {
         let outcomes = self.run_outcomes(jobs);
         let mut failed: Vec<String> = Vec::new();
         for (job, outcome) in jobs.iter().zip(&outcomes) {
@@ -406,33 +657,39 @@ impl Harness {
         outcomes
             .into_iter()
             .map(|o| match o {
-                JobOutcome::Ok(r) | JobOutcome::Retried(r) => r,
-                JobOutcome::Failed { .. } => unreachable!("failures rejected above"),
+                Outcome::Ok(r) | Outcome::Retried(r) => r,
+                Outcome::Failed { .. } => unreachable!("failures rejected above"),
             })
             .collect()
     }
 
-    /// Resolves a batch of jobs, returning one [`JobOutcome`] per job in
-    /// submission order. The **keep-going** entry point: a failed job
-    /// yields [`JobOutcome::Failed`] and never disturbs its siblings,
+    /// Resolves a batch of cells, returning one [`Outcome`] per cell in
+    /// submission order. The **keep-going** entry point: a failed cell
+    /// yields [`Outcome::Failed`] and never disturbs its siblings,
     /// whose results are memoized and cached as usual. Failures are
     /// memoized too — the deterministic simulator would only fail
-    /// again — so resubmitting a failed job reports the same outcome
+    /// again — so resubmitting a failed cell reports the same outcome
     /// without re-running it.
-    pub fn run_outcomes(&self, jobs: &[Job]) -> Vec<JobOutcome> {
+    ///
+    /// The lifecycle, for single-core and CMP cells alike: dedup (with
+    /// a content-hash collision guard), memo, up-front rejection, disk
+    /// store (corrupt entries quarantined and re-run), then the worker
+    /// pool (see `execute`), then folding into memo, records and
+    /// counters.
+    pub fn run_outcomes<C: Cell>(&self, jobs: &[C]) -> Vec<Outcome<C::Result>> {
         let t0 = Instant::now();
 
         // Deduplicate, preserving first-submission order. A 64-bit
-        // content-hash collision between *different* jobs is astronomically
-        // unlikely but cheap to rule out.
+        // content-hash collision between *different* cells is
+        // astronomically unlikely but cheap to rule out.
         let mut first_seen: HashMap<JobId, usize> = HashMap::new();
-        let mut uniques: Vec<&Job> = Vec::new();
+        let mut uniques: Vec<&C> = Vec::new();
         for job in jobs {
             match first_seen.get(&job.id()) {
                 Some(&idx) => assert_eq!(
                     uniques[idx],
                     job,
-                    "job content-hash collision on {}; bump CANON_VERSION",
+                    "content-hash collision on {}; bump its canonical version",
                     job.id()
                 ),
                 None => {
@@ -443,62 +700,36 @@ impl Harness {
         }
 
         // Serve what the memo and the disk store already know; queue the
-        // rest. Each pending job remembers the index of its pre-created
+        // rest. Each pending cell remembers the index of its pre-created
         // record so worker timing lands in submission order. A corrupt
-        // store entry is quarantined by `load_checked` and its job
+        // store entry is quarantined by `load_checked` and its cell
         // queued like a plain miss — the re-run overwrites it.
-        let mut pending: Vec<(usize, &Job)> = Vec::new();
+        let mut pending: Vec<(usize, &C)> = Vec::new();
         {
-            let mut memo = lock(&self.memo);
+            let mut memo = lock(C::memo(self));
             let mut records = lock(&self.records);
             let mut c = lock(&self.counters);
             c.submitted += jobs.len();
             c.unique += uniques.len();
-            for job in &uniques {
-                let id = job.id();
-                let source = match memo.entry(id) {
-                    std::collections::hash_map::Entry::Occupied(_) => {
+            for &job in &uniques {
+                let source = match memo.entry(job.id()) {
+                    hash_map::Entry::Occupied(_) => {
                         c.memo_hits += 1;
                         ResultSource::Memory
                     }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        // A single-core `Job` over a CMP *per-core*
-                        // workload is a capability mismatch, not a
-                        // queueing problem: its trace lives in one core's
-                        // private address space and only means something
-                        // interleaved with its co-runners through the
-                        // shared L2 — which is [`Harness::run_cmp`]'s
-                        // job (the discrete-event `CmpEngine`, first-class
-                        // memo/disk-cache/fault-isolation included).
-                        // Reject with a precise error naming the routing
-                        // fix instead of quietly simulating a meaningless
-                        // single-core run. The rejection is memoized like
-                        // any other failure and never disk-cached.
-                        if job.spec.workload.addr_space != 0 {
-                            let reason = format!(
-                                "single-core Job cannot represent CMP per-core workload '{}' \
-                                 (addr_space {}): submit the whole cell as a CmpJob via \
-                                 Harness::run_cmp, which routes it through the discrete-event \
-                                 CMP engine",
-                                job.spec.workload.name, job.spec.workload.addr_space
-                            );
+                    hash_map::Entry::Vacant(slot) => {
+                        if let Some(reason) = job.reject() {
                             self.bus.publish(&Event::JobFailed {
                                 label: job.label(),
                                 reason: reason.clone(),
                             });
                             c.failed += 1;
-                            slot.insert(JobOutcome::Failed {
+                            slot.insert(Outcome::Failed {
                                 reason: reason.clone(),
                             });
                             records.push(JobRecord {
-                                id,
-                                workload: job.spec.workload.name.clone(),
-                                prefetcher: job.pf.name(),
-                                source: ResultSource::Executed,
-                                wall_ms: None,
-                                insts_per_sec: None,
-                                retried: false,
                                 error: Some(reason),
+                                ..JobRecord::new(job, ResultSource::Executed)
                             });
                             continue;
                         }
@@ -509,7 +740,7 @@ impl Harness {
                         match read {
                             CacheRead::Hit(r) => {
                                 c.disk_hits += 1;
-                                slot.insert(JobOutcome::Ok(r));
+                                slot.insert(Outcome::Ok(r));
                                 ResultSource::Disk
                             }
                             CacheRead::Miss => {
@@ -532,16 +763,7 @@ impl Harness {
                         }
                     }
                 };
-                records.push(JobRecord {
-                    id,
-                    workload: job.spec.workload.name.clone(),
-                    prefetcher: job.pf.name(),
-                    source,
-                    wall_ms: None,
-                    insts_per_sec: None,
-                    retried: false,
-                    error: None,
-                });
+                records.push(JobRecord::new(job, source));
             }
         }
 
@@ -549,18 +771,19 @@ impl Harness {
             self.execute(&pending);
         }
 
-        {
-            let mut c = lock(&self.counters);
-            c.wall += t0.elapsed();
-        }
-
-        let memo = lock(&self.memo);
+        lock(&self.counters).wall += t0.elapsed();
+        let memo = lock(C::memo(self));
         jobs.iter().map(|j| memo[&j.id()].clone()).collect()
     }
 
-    /// The labels and panic reasons of every job that failed so far,
-    /// in submission order — the material for a driver's end-of-run
-    /// failure summary.
+    /// [`Harness::run_outcomes`] for CMP cells, under its historical name.
+    pub fn run_cmp_outcomes(&self, jobs: &[CmpJob]) -> Vec<CmpOutcome> {
+        self.run_outcomes(jobs)
+    }
+
+    /// The labels and panic reasons of every cell that failed so far,
+    /// single-core and CMP alike, in submission order — the material for
+    /// a driver's end-of-run failure summary.
     pub fn failures(&self) -> Vec<(String, String)> {
         lock(&self.records)
             .iter()
@@ -568,510 +791,166 @@ impl Harness {
             .collect()
     }
 
-    /// Runs the pending jobs on the worker pool and folds the outcomes
+    /// Runs the pending cells on the worker pool and folds the outcomes
     /// into the memo, the record table and the counters.
     ///
-    /// Every job runs two-phase: its trace is pre-resolved through the
-    /// L1 front end into a compact event stream (constant memory — the
-    /// generator is streamed in chunks, never materialized), then the
-    /// prefetcher-dependent back end replays the stream. Streams are
-    /// keyed by [`Job::pre_key`] and `Arc`-shared, so a whole
-    /// workload × prefetcher sweep pays the front-end cost once per
-    /// workload; with a store configured they are also cached on disk
-    /// (`preres/`), making the front end free across processes.
-    fn execute(&self, pending: &[(usize, &Job)]) {
-        // Group pending jobs that share one pre-resolved stream AND one
-        // full `RunSpec` into lockstep units: one replay pass over the
-        // shared event stream drives all their prefetcher lanes
-        // (`ebcp_sim::Lockstep` via `run_preresolved_many`). Unit order
-        // follows first-member submission order; members keep
-        // submission order, so results stay deterministic.
-        let mut units: Vec<Vec<usize>> = Vec::new();
-        if self.cfg.lockstep {
-            let mut by_key: HashMap<u64, Vec<usize>> = HashMap::new();
-            for (idx, (_, job)) in pending.iter().enumerate() {
-                let candidates = by_key.entry(job.pre_key()).or_default();
-                // The pre-key covers workload/seed/length/L1; lanes must
-                // also agree on the rest of the machine (`SimConfig`).
-                match candidates
-                    .iter()
-                    .find(|&&u| pending[units[u][0]].1.spec == job.spec)
-                {
-                    Some(&u) => units[u].push(idx),
-                    None => {
-                        candidates.push(units.len());
-                        units.push(vec![idx]);
-                    }
-                }
-            }
-        } else {
-            units = (0..pending.len()).map(|i| vec![i]).collect();
-        }
-        let units = &units;
+    /// Pending cells are grouped into units ([`Cell::units`]: lockstep
+    /// groups for single-core jobs, one cell per unit for CMP), queued
+    /// FIFO in first-submission order on `workers.min(units)` threads,
+    /// each with an equal share of the memory budget. A unit's first
+    /// attempt is panic-caught; each member whose first attempt failed
+    /// is retried once on its own. Results are saved to the store from
+    /// the worker.
+    fn execute<C: Cell>(&self, pending: &[(usize, &C)]) {
+        let cells: Vec<&C> = pending.iter().map(|&(_, c)| c).collect();
+        let units = C::units(&cells, self.cfg.lockstep);
         let workers = self.workers.min(units.len()).max(1);
         // Each concurrent worker gets an equal share of the process
         // memory budget; jobs whose pre-resolved stream would not fit
         // the share run segment-at-a-time (see `stream_plan`).
         let per_worker = (self.cfg.mem_budget_bytes / workers as u64).max(1);
-
-        // Streams come from the harness-lifetime `pres` map (see the
-        // field docs). If an initializer panics, the cell stays
-        // uninitialized, so a retry (or a sibling job on the same key)
-        // rebuilds it from scratch.
-        let pres = &self.pres;
-        let queue: Mutex<VecDeque<usize>> = Mutex::new((0..units.len()).collect());
-        type Slot = Result<(SimResult, u64, f64, bool), String>;
-        // A lane's outcome before timing attribution: result + retried flag.
-        type LaneOut = Result<(SimResult, bool), String>;
-        let outputs: Mutex<Vec<Option<Slot>>> = Mutex::new(vec![None; pending.len()]);
+        // One attempt at one cell, with any panic caught so a buggy
+        // prefetcher fails only its own cell. Also the retry path.
+        let attempt = |cell: &C, tx: &mpsc::Sender<Event>| {
+            catch_unwind(AssertUnwindSafe(|| cell.run(self, per_worker, tx))).map_err(panic_reason)
+        };
         let (tx, rx) = mpsc::channel::<Event>();
 
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let (queue, outputs) = (&queue, &outputs);
-                s.spawn(move || loop {
-                    let Some(u) = lock(queue).pop_front() else {
-                        break;
-                    };
-                    let unit = &units[u];
-                    for &i in unit {
-                        let _ = tx.send(Event::JobStarted {
-                            label: pending[i].1.label(),
-                        });
-                    }
-                    let t = Instant::now();
-
-                    // One single-job attempt: front end (shared,
-                    // disk-cached) + back-end replay, with any panic
-                    // caught so a buggy prefetcher fails only its own
-                    // cell. The closure touches `pres` only through a
-                    // cloned Arc outside any lock, so no guard is held
-                    // across user code. Also the serial retry path for
-                    // a lockstep lane that panicked.
-                    let attempt_one = |job: &Job| -> Result<SimResult, String> {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            if let Some(seg_records) = self.stream_plan(job, per_worker) {
-                                return self.run_streamed(job, seg_records, &tx);
-                            }
-                            let cell = Arc::clone(
-                                lock(pres)
-                                    .entry(job.pre_key())
-                                    .or_insert_with(|| Arc::new(OnceLock::new())),
-                            );
-                            let pre = cell.get_or_init(|| Arc::new(self.prepare_pre(job, &tx)));
-                            job.spec.run_preresolved(pre, &job.pf)
-                        }))
-                        .map_err(panic_reason)
-                    };
-
-                    // First attempts: one lockstep pass when the unit
-                    // has siblings, the plain single-job path otherwise.
-                    // `Lockstep` catches per-lane panics itself, so a
-                    // faulting lane surfaces as its own `Err` here; this
-                    // outer catch covers pre-resolution and the driver.
-                    let firsts: Vec<Result<SimResult, String>> = if unit.len() > 1 {
-                        let lead = pending[unit[0]].1;
-                        let pfs: Vec<ebcp_sim::PrefetcherSpec> =
-                            unit.iter().map(|&i| pending[i].1.pf.clone()).collect();
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            if let Some(seg_records) = self.stream_plan(lead, per_worker) {
-                                if let Some(dir) = self.store_dir() {
-                                    // One disk pass over the cached
-                                    // block stream drives every lane —
-                                    // lockstep amortization at
-                                    // O(segment) memory.
-                                    let mut stream =
-                                        self.prepare_stream(dir, lead, seg_records, &tx);
-                                    return run_preresolved_blocks_many(
-                                        &lead.spec,
-                                        stream.blocks(),
-                                        &pfs,
-                                    );
-                                }
-                                // No disk to stream blocks from: each
-                                // lane runs the bounded-memory
-                                // pipelined path on its own.
-                                return unit
-                                    .iter()
-                                    .map(|&i| Ok(self.run_streamed(pending[i].1, seg_records, &tx)))
-                                    .collect();
-                            }
-                            let cell = Arc::clone(
-                                lock(pres)
-                                    .entry(lead.pre_key())
-                                    .or_insert_with(|| Arc::new(OnceLock::new())),
-                            );
-                            let pre = cell.get_or_init(|| Arc::new(self.prepare_pre(lead, &tx)));
-                            lead.spec.run_preresolved_many(pre, &pfs)
-                        })) {
-                            Ok(lanes) => lanes,
-                            Err(payload) => {
-                                let reason = panic_reason(payload);
-                                unit.iter().map(|_| Err(reason.clone())).collect()
-                            }
+        let done = work_queue(
+            workers,
+            units.len(),
+            tx,
+            |tx, u| {
+                let unit: Vec<&C> = units[u].iter().map(|&i| cells[i]).collect();
+                for cell in &unit {
+                    let _ = tx.send(Event::JobStarted {
+                        label: cell.label(),
+                    });
+                }
+                let t = Instant::now();
+                // First attempts: one lockstep pass when the unit has
+                // siblings, the plain single-cell path otherwise. This
+                // outer catch covers pre-resolution and the driver.
+                let firsts = if unit.len() > 1 {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        C::run_lockstep(&unit, self, per_worker, tx)
+                    }))
+                    .unwrap_or_else(|payload| vec![Err(panic_reason(payload)); unit.len()])
+                } else {
+                    vec![attempt(unit[0], tx)]
+                };
+                // Retry-once policy, per cell: a first-attempt panic may
+                // be environmental (a torn mmap, a one-shot fault); a
+                // second one is the cell's own and final.
+                let outs: Vec<Result<(C::Result, bool), String>> = unit
+                    .iter()
+                    .zip(firsts)
+                    .map(|(&cell, first)| match first {
+                        Ok(result) => Ok((result, false)),
+                        Err(reason) => {
+                            let _ = tx.send(Event::JobRetried {
+                                label: cell.label(),
+                                reason,
+                            });
+                            attempt(cell, tx).map(|result| (result, true))
                         }
-                    } else {
-                        vec![attempt_one(pending[unit[0]].1)]
-                    };
-
-                    // Retry-once policy, per lane: a first-attempt panic
-                    // may be environmental (a torn mmap, a one-shot
-                    // fault); a second one is the job's own and final.
-                    let lanes: Vec<(usize, LaneOut)> = unit
-                        .iter()
-                        .zip(firsts)
-                        .map(|(&i, first)| {
-                            let job = pending[i].1;
-                            let out = match first {
-                                Ok(result) => Ok((result, false)),
-                                Err(first) => {
-                                    let _ = tx.send(Event::JobRetried {
-                                        label: job.label(),
-                                        reason: first,
-                                    });
-                                    match attempt_one(job) {
-                                        Ok(result) => Ok((result, true)),
-                                        Err(reason) => Err(reason),
-                                    }
-                                }
-                            };
-                            (i, out)
-                        })
-                        .collect();
-
-                    // The unit ran as one pass; attribute an equal share
-                    // of its wall clock to each lane so per-job rates
-                    // reflect the amortization.
-                    let wall = t.elapsed() / unit.len() as u32;
-                    let wall_ms = wall.as_millis() as u64;
-                    for (i, out) in lanes {
-                        let job = pending[i].1;
-                        let slot: Slot = out.map(|(result, retried)| {
-                            let rate = job.records() as f64 / wall.as_secs_f64().max(1e-9);
-                            (result, wall_ms, rate, retried)
-                        });
-                        match &slot {
-                            Ok((result, wall_ms, rate, _)) => {
+                    })
+                    .collect();
+                // The unit ran as one pass; attribute an equal share of
+                // its wall clock to each member so per-cell rates
+                // reflect the amortization.
+                let wall = t.elapsed() / unit.len() as u32;
+                let wall_ms = wall.as_millis() as u64;
+                unit.iter()
+                    .zip(outs)
+                    .map(|(&cell, out)| {
+                        let rate = cell.records() as f64 / wall.as_secs_f64().max(1e-9);
+                        let label = cell.label();
+                        let _ = tx.send(match &out {
+                            Ok((result, _)) => {
                                 if let Some(store) = &self.store {
                                     // Cache-write failure loses only incrementality.
-                                    let _ = store.save(job, result);
+                                    let _ = store.save(cell, result);
                                 }
-                                let _ = tx.send(Event::JobFinished {
-                                    label: job.label(),
-                                    wall_ms: *wall_ms,
-                                    insts_per_sec: *rate,
-                                });
+                                Event::JobFinished {
+                                    label,
+                                    wall_ms,
+                                    insts_per_sec: rate,
+                                }
                             }
-                            Err(reason) => {
-                                // Nothing cached: a failed job leaves no
-                                // on-disk trace to be mistaken for a result.
-                                let _ = tx.send(Event::JobFailed {
-                                    label: job.label(),
-                                    reason: reason.clone(),
-                                });
-                            }
-                        }
-                        lock(outputs)[i] = Some(slot);
+                            // Nothing cached: a failed cell leaves no
+                            // on-disk trace to be mistaken for a result.
+                            Err(reason) => Event::JobFailed {
+                                label,
+                                reason: reason.clone(),
+                            },
+                        });
+                        (out, wall_ms, rate)
+                    })
+                    .collect::<Vec<_>>()
+            },
+            || {
+                // The submitting thread renders progress, republishes
+                // every event on the bus, and tallies quarantines (the
+                // per-slot data only says *that* a cell was retried, not
+                // how many quarantines it healed).
+                let mut progress = Progress::new(self.cfg.progress, pending.len());
+                let mut quarantined = 0usize;
+                for ev in rx {
+                    if let Event::CacheQuarantined { .. } = &ev {
+                        quarantined += 1;
                     }
-                });
-            }
-            drop(tx);
-            // The submitting thread renders progress, republishes every
-            // event on the bus, and tallies the resilience events (the
-            // per-slot data only says *that* a job was retried, not how
-            // many quarantines it healed).
-            let mut progress = Progress::new(self.cfg.progress, pending.len());
-            let mut quarantined = 0usize;
-            for ev in rx {
-                if let Event::CacheQuarantined { .. } = &ev {
-                    quarantined += 1;
+                    self.bus.publish(&ev);
+                    progress.handle(&ev);
                 }
-                self.bus.publish(&ev);
-                progress.handle(&ev);
-            }
-            progress.finish();
-            lock(&self.counters).quarantined += quarantined;
-        });
+                progress.finish();
+                lock(&self.counters).quarantined += quarantined;
+            },
+        );
 
-        let outputs = outputs.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let mut memo = lock(&self.memo);
+        let mut memo = lock(C::memo(self));
         let mut records = lock(&self.records);
         let mut c = lock(&self.counters);
-        for ((rec_idx, job), out) in pending.iter().zip(outputs) {
-            let slot = out.expect("worker completed every queued job");
-            match slot {
-                Ok((result, wall_ms, rate, retried)) => {
-                    memo.insert(
-                        job.id(),
-                        if retried {
-                            c.retried += 1;
-                            JobOutcome::Retried(result.clone())
-                        } else {
-                            JobOutcome::Ok(result.clone())
-                        },
-                    );
-                    records[*rec_idx].wall_ms = Some(wall_ms);
-                    records[*rec_idx].insts_per_sec = Some(rate);
-                    records[*rec_idx].retried = retried;
+        let lanes = units.iter().flatten().zip(done.into_iter().flatten());
+        for (&i, (out, wall_ms, rate)) in lanes {
+            let (rec_idx, cell) = pending[i];
+            let rec = &mut records[rec_idx];
+            let outcome = match out {
+                Ok((result, retried)) => {
+                    rec.wall_ms = Some(wall_ms);
+                    rec.insts_per_sec = Some(rate);
+                    rec.retried = retried;
                     c.executed += 1;
-                    c.records_simulated += job.records();
+                    c.records_simulated += cell.records();
+                    if retried {
+                        c.retried += 1;
+                        Outcome::Retried(result)
+                    } else {
+                        Outcome::Ok(result)
+                    }
                 }
                 Err(reason) => {
-                    memo.insert(
-                        job.id(),
-                        JobOutcome::Failed {
-                            reason: reason.clone(),
-                        },
-                    );
-                    records[*rec_idx].error = Some(reason);
+                    rec.error = Some(reason.clone());
                     c.failed += 1;
+                    Outcome::Failed { reason }
                 }
-            }
+            };
+            memo.insert(cell.id(), outcome);
         }
     }
 
-    /// Resolves a batch of CMP cells, returning results in submission
-    /// order — the **strict** multi-core entry point, mirroring
-    /// [`Harness::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics with a summary naming the failed cells if any job failed,
-    /// after the whole batch has executed.
-    pub fn run_cmp(&self, jobs: &[CmpJob]) -> Vec<ebcp_sim::CmpResult> {
-        let outcomes = self.run_cmp_outcomes(jobs);
-        let mut failed: Vec<String> = Vec::new();
-        for (job, outcome) in jobs.iter().zip(&outcomes) {
-            if let Some(reason) = outcome.failure() {
-                let entry = format!("{} ({reason})", job.label());
-                if !failed.contains(&entry) {
-                    failed.push(entry);
-                }
-            }
-        }
-        assert!(
-            failed.is_empty(),
-            "{} CMP job(s) failed: {}",
-            failed.len(),
-            failed.join("; ")
+    /// The warm, `Arc`-shared pre-resolved stream for `job` (see the
+    /// `pres` field), built or disk-loaded on first use. The map lock
+    /// is held only to find the slot, never across the build. If the
+    /// build panics, the slot stays uninitialized, so a retry (or a
+    /// sibling on the same key) rebuilds it from scratch.
+    fn warm_pre(&self, job: &Job, tx: &mpsc::Sender<Event>) -> Arc<PreResolved> {
+        let slot = Arc::clone(
+            lock(&self.pres)
+                .entry(job.pre_key())
+                .or_insert_with(|| Arc::new(OnceLock::new())),
         );
-        outcomes
-            .into_iter()
-            .map(|o| match o {
-                CmpOutcome::Ok(r) | CmpOutcome::Retried(r) => r,
-                CmpOutcome::Failed { .. } => unreachable!("failures rejected above"),
-            })
-            .collect()
-    }
-
-    /// Resolves a batch of CMP cells, returning one [`CmpOutcome`] per
-    /// job in submission order — the **keep-going** multi-core entry
-    /// point, mirroring [`Harness::run_outcomes`].
-    ///
-    /// CMP cells are first-class: deduplicated and memoized by content
-    /// hash (within and across batches), served from the checksummed
-    /// disk store when warm (corrupt entries quarantined + re-run),
-    /// executed on the worker pool with per-cell panic isolation and
-    /// the retry-once policy, and counted in [`Harness::summary`] and
-    /// the telemetry stream like any other cell. Per-core pre-resolved
-    /// streams come from the same warm map and `preres/` disk cache the
-    /// single-core path uses (see [`CmpJob::core_job`]).
-    pub fn run_cmp_outcomes(&self, jobs: &[CmpJob]) -> Vec<CmpOutcome> {
-        let t0 = Instant::now();
-
-        let mut first_seen: HashMap<JobId, usize> = HashMap::new();
-        let mut uniques: Vec<&CmpJob> = Vec::new();
-        for job in jobs {
-            match first_seen.get(&job.id()) {
-                Some(&idx) => assert_eq!(
-                    uniques[idx],
-                    job,
-                    "CMP job content-hash collision on {}; bump CMP_CANON_VERSION",
-                    job.id()
-                ),
-                None => {
-                    first_seen.insert(job.id(), uniques.len());
-                    uniques.push(job);
-                }
-            }
-        }
-
-        let mut pending: Vec<&CmpJob> = Vec::new();
-        {
-            let mut memo = lock(&self.cmp_memo);
-            let mut c = lock(&self.counters);
-            c.submitted += jobs.len();
-            c.unique += uniques.len();
-            for job in &uniques {
-                match memo.entry(job.id()) {
-                    std::collections::hash_map::Entry::Occupied(_) => c.memo_hits += 1,
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        let read = match &self.store {
-                            Some(s) => s.load_checked_cmp(job),
-                            None => CacheRead::Miss,
-                        };
-                        match read {
-                            CacheRead::Hit(r) => {
-                                c.disk_hits += 1;
-                                slot.insert(CmpOutcome::Ok(r));
-                            }
-                            CacheRead::Miss => pending.push(job),
-                            CacheRead::Quarantined { path, reason } => {
-                                c.quarantined += 1;
-                                let path = path.display().to_string();
-                                if self.cfg.progress {
-                                    eprintln!(
-                                        "warning: quarantined corrupt cache entry {path} \
-                                         ({reason}); re-running"
-                                    );
-                                }
-                                self.bus.publish(&Event::CacheQuarantined { path, reason });
-                                pending.push(job);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        if !pending.is_empty() {
-            self.execute_cmp(&pending);
-        }
-
-        lock(&self.counters).wall += t0.elapsed();
-        let memo = lock(&self.cmp_memo);
-        jobs.iter().map(|j| memo[&j.id()].clone()).collect()
-    }
-
-    /// Runs pending CMP cells on the worker pool: per-core streams from
-    /// the shared warm map (+ `preres/` disk cache), then one
-    /// discrete-event `CmpEngine` run per cell, panic-caught with the
-    /// retry-once policy. Outcomes fold into the CMP memo and the
-    /// shared counters.
-    fn execute_cmp(&self, pending: &[&CmpJob]) {
-        let workers = self.workers.min(pending.len()).max(1);
-        let pres = &self.pres;
-        let queue: Mutex<VecDeque<usize>> = Mutex::new((0..pending.len()).collect());
-        type CmpSlot = Result<(ebcp_sim::CmpResult, u64, f64, bool), String>;
-        let outputs: Mutex<Vec<Option<CmpSlot>>> = Mutex::new(vec![None; pending.len()]);
-        let (tx, rx) = mpsc::channel::<Event>();
-
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let (queue, outputs) = (&queue, &outputs);
-                s.spawn(move || loop {
-                    let Some(i) = lock(queue).pop_front() else {
-                        break;
-                    };
-                    let job = pending[i];
-                    let _ = tx.send(Event::JobStarted { label: job.label() });
-                    let t = Instant::now();
-
-                    // One attempt: resolve every core's stream through
-                    // the shared cells (no guard held across user code),
-                    // then run the cell on the DES engine. A panic
-                    // anywhere fails only this cell.
-                    let attempt_one = || -> Result<ebcp_sim::CmpResult, String> {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let streams: Vec<Arc<PreResolved>> = (0..job.cores())
-                                .map(|k| {
-                                    let cj = job.core_job(k);
-                                    let cell = Arc::clone(
-                                        lock(pres)
-                                            .entry(cj.pre_key())
-                                            .or_insert_with(|| Arc::new(OnceLock::new())),
-                                    );
-                                    Arc::clone(
-                                        cell.get_or_init(|| Arc::new(self.prepare_pre(&cj, &tx))),
-                                    )
-                                })
-                                .collect();
-                            let refs: Vec<&PreResolved> = streams.iter().map(Arc::as_ref).collect();
-                            job.spec.run_streams(&refs, &job.pf)
-                        }))
-                        .map_err(panic_reason)
-                    };
-
-                    let out = match attempt_one() {
-                        Ok(result) => Ok((result, false)),
-                        Err(first) => {
-                            let _ = tx.send(Event::JobRetried {
-                                label: job.label(),
-                                reason: first,
-                            });
-                            attempt_one().map(|result| (result, true))
-                        }
-                    };
-
-                    let wall = t.elapsed();
-                    let wall_ms = wall.as_millis() as u64;
-                    let slot: CmpSlot = out.map(|(result, retried)| {
-                        let rate = job.records() as f64 / wall.as_secs_f64().max(1e-9);
-                        (result, wall_ms, rate, retried)
-                    });
-                    match &slot {
-                        Ok((result, wall_ms, rate, _)) => {
-                            if let Some(store) = &self.store {
-                                // Cache-write failure loses only incrementality.
-                                let _ = store.save_cmp(job, result);
-                            }
-                            let _ = tx.send(Event::JobFinished {
-                                label: job.label(),
-                                wall_ms: *wall_ms,
-                                insts_per_sec: *rate,
-                            });
-                        }
-                        Err(reason) => {
-                            let _ = tx.send(Event::JobFailed {
-                                label: job.label(),
-                                reason: reason.clone(),
-                            });
-                        }
-                    }
-                    lock(outputs)[i] = Some(slot);
-                });
-            }
-            drop(tx);
-            let mut progress = Progress::new(self.cfg.progress, pending.len());
-            let mut quarantined = 0usize;
-            for ev in rx {
-                if let Event::CacheQuarantined { .. } = &ev {
-                    quarantined += 1;
-                }
-                self.bus.publish(&ev);
-                progress.handle(&ev);
-            }
-            progress.finish();
-            lock(&self.counters).quarantined += quarantined;
-        });
-
-        let outputs = outputs.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let mut memo = lock(&self.cmp_memo);
-        let mut c = lock(&self.counters);
-        for (job, out) in pending.iter().zip(outputs) {
-            let slot = out.expect("worker completed every queued CMP job");
-            match slot {
-                Ok((result, _, _, retried)) => {
-                    memo.insert(
-                        job.id(),
-                        if retried {
-                            c.retried += 1;
-                            CmpOutcome::Retried(result)
-                        } else {
-                            CmpOutcome::Ok(result)
-                        },
-                    );
-                    c.executed += 1;
-                    c.records_simulated += job.records();
-                }
-                Err(reason) => {
-                    memo.insert(job.id(), CmpOutcome::Failed { reason });
-                    c.failed += 1;
-                }
-            }
-        }
+        Arc::clone(slot.get_or_init(|| Arc::new(self.prepare_pre(job, tx))))
     }
 
     /// The segment length (in trace records) a bounded-memory replay of
@@ -1135,12 +1014,7 @@ impl Harness {
         match preres::open_stream_checked(dir, job) {
             CacheRead::Hit(stream) => return stream,
             CacheRead::Miss => {}
-            CacheRead::Quarantined { path, reason } => {
-                let _ = tx.send(Event::CacheQuarantined {
-                    path: path.display().to_string(),
-                    reason,
-                });
-            }
+            CacheRead::Quarantined { path, reason } => report_quarantine(tx, &path, reason),
         }
         let spec = &job.spec;
         let mut writer =
@@ -1148,10 +1022,7 @@ impl Harness {
         let mut src: Box<dyn ChunkSource> = if self.cfg.trace_store {
             let trace =
                 traces::open_or_generate(dir, spec, seg_records, Backing::Mmap, |path, reason| {
-                    let _ = tx.send(Event::CacheQuarantined {
-                        path: path.display().to_string(),
-                        reason,
-                    });
+                    report_quarantine(tx, &path, reason)
                 })
                 .expect("segmented trace store");
             Box::new(trace)
@@ -1205,12 +1076,7 @@ impl Harness {
             match preres::load_checked(dir, job) {
                 CacheRead::Hit(pre) => return pre,
                 CacheRead::Miss => {}
-                CacheRead::Quarantined { path, reason } => {
-                    let _ = tx.send(Event::CacheQuarantined {
-                        path: path.display().to_string(),
-                        reason,
-                    });
-                }
+                CacheRead::Quarantined { path, reason } => report_quarantine(tx, &path, reason),
             }
         }
         let pre = job.spec.pre_resolve();
@@ -1221,12 +1087,9 @@ impl Harness {
         pre
     }
 
-    /// Generic parallel map over the same worker pool sizing, for work
-    /// that does not fit either job shape (CMP multi-core cells are
-    /// first-class now — see [`Harness::run_cmp`] — so this is for
-    /// one-off work like bulk trace generation).
-    /// Output order matches input order; `jobs = 1` degenerates to a
-    /// plain serial map.
+    /// Generic parallel map on the same worker pool as cell execution,
+    /// for one-off work that is not a [`Cell`] (e.g. bulk trace
+    /// generation). Output order matches input order.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -1234,55 +1097,22 @@ impl Harness {
         F: Fn(&T) -> R + Sync,
     {
         let workers = self.workers.min(items.len()).max(1);
-        if workers == 1 {
-            return items.iter().map(f).collect();
-        }
-        let queue: Mutex<VecDeque<usize>> = Mutex::new((0..items.len()).collect());
-        let outputs: Mutex<Vec<Option<R>>> =
-            Mutex::new(std::iter::repeat_with(|| None).take(items.len()).collect());
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let (queue, outputs, f) = (&queue, &outputs, &f);
-                s.spawn(move || loop {
-                    let Some(i) = lock(queue).pop_front() else {
-                        break;
-                    };
-                    let r = f(&items[i]);
-                    lock(outputs)[i] = Some(r);
-                });
-            }
-        });
-        outputs
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_iter()
-            .map(|r| r.expect("worker completed every queued item"))
-            .collect()
+        work_queue(workers, items.len(), (), |(), i| f(&items[i]), || {})
     }
 
     /// Aggregate statistics over everything resolved so far.
     pub fn summary(&self) -> RunSummary {
-        let c = lock(&self.counters);
-        RunSummary {
-            submitted: c.submitted,
-            unique: c.unique,
-            executed: c.executed,
-            memo_hits: c.memo_hits,
-            disk_hits: c.disk_hits,
-            failed: c.failed,
-            retried: c.retried,
-            quarantined: c.quarantined,
-            records_simulated: c.records_simulated,
-            wall: c.wall,
-        }
+        *lock(&self.counters)
     }
 
-    /// The deterministic [`ResultRow`]s for everything resolved so far,
-    /// in first-submission order — the input to [`results_doc`].
+    /// The deterministic single-core [`ResultRow`]s for everything
+    /// resolved so far, in first-submission order — the input to
+    /// [`results_doc`].
     pub fn result_rows(&self) -> Vec<ResultRow> {
         let memo = lock(&self.memo);
         lock(&self.records)
             .iter()
+            .filter(|rec| rec.cores.is_none())
             .map(|rec| ResultRow {
                 id: rec.id,
                 workload: rec.workload.clone(),
@@ -1292,7 +1122,25 @@ impl Harness {
             .collect()
     }
 
-    /// Writes the **deterministic** `results.json`: per unique job
+    /// The deterministic [`CmpResultRow`]s for every CMP cell resolved
+    /// so far, in first-submission order.
+    pub fn cmp_result_rows(&self) -> Vec<CmpResultRow> {
+        let memo = lock(&self.cmp_memo);
+        lock(&self.records)
+            .iter()
+            .filter_map(|rec| {
+                Some(CmpResultRow {
+                    id: rec.id,
+                    cell: rec.workload.clone(),
+                    prefetcher: rec.prefetcher.clone(),
+                    cores: rec.cores?,
+                    outcome: memo[&rec.id].clone(),
+                })
+            })
+            .collect()
+    }
+
+    /// Writes the **deterministic** `results.json`: per unique cell
     /// (submission order) its identity, outcome and full result —
     /// nothing that varies with worker count, cache temperature, wall
     /// clock, or transport. A sweep submitted to a warm daemon writes
@@ -1304,13 +1152,15 @@ impl Harness {
     /// Propagates file-system failures.
     pub fn write_results_json(&self, path: &Path) -> io::Result<()> {
         let submitted = lock(&self.counters).submitted;
-        write_doc(path, &results_doc(submitted, &self.result_rows()))
+        let doc = results_doc_cmp(submitted, &self.result_rows(), &self.cmp_result_rows());
+        write_doc(path, &doc)
     }
 
     /// Writes the **volatile** `telemetry.json` companion: the full run
-    /// summary (hit counts, wall clock, throughput) plus per-job cache
-    /// provenance and timing. Everything results.json deliberately
-    /// omits to stay deterministic lands here.
+    /// summary (hit counts, wall clock, throughput) plus per-cell cache
+    /// provenance and timing (CMP cells also carry their `cores`).
+    /// Everything results.json deliberately omits to stay deterministic
+    /// lands here.
     ///
     /// # Errors
     ///
@@ -1321,10 +1171,15 @@ impl Harness {
         let jobs: Vec<Value> = records
             .iter()
             .map(|rec| {
-                Value::Obj(vec![
+                let mut fields = vec![
                     ("id".into(), Value::Str(rec.id.to_string())),
                     ("workload".into(), Value::Str(rec.workload.clone())),
                     ("prefetcher".into(), Value::Str(rec.prefetcher.clone())),
+                ];
+                if let Some(cores) = rec.cores {
+                    fields.push(("cores".into(), Value::Int(cores)));
+                }
+                fields.extend([
                     ("source".into(), Value::Str(rec.source.tag().into())),
                     ("outcome".into(), Value::Str(rec.outcome_tag().into())),
                     (
@@ -1335,7 +1190,8 @@ impl Harness {
                         "insts_per_sec".into(),
                         rec.insts_per_sec.map_or(Value::Null, Value::Num),
                     ),
-                ])
+                ]);
+                Value::Obj(fields)
             })
             .collect();
         let doc = Value::Obj(vec![
@@ -1377,7 +1233,7 @@ pub struct ResultRow {
     pub workload: String,
     /// Prefetcher name.
     pub prefetcher: String,
-    /// How the job ended. [`JobOutcome::Retried`] renders as `"ok"` —
+    /// How the job ended. [`Outcome::Retried`] renders as `"ok"` —
     /// whether a cell needed its second attempt is timing, not result.
     pub outcome: JobOutcome,
 }
@@ -1394,7 +1250,7 @@ pub struct CmpResultRow {
     pub prefetcher: String,
     /// Cores on the chip.
     pub cores: u64,
-    /// How the cell ended ([`CmpOutcome::Retried`] renders as `"ok"`).
+    /// How the cell ended ([`Outcome::Retried`] renders as `"ok"`).
     pub outcome: CmpOutcome,
 }
 
@@ -1407,6 +1263,26 @@ pub struct CmpResultRow {
 /// local run of the same sweep.
 pub fn results_doc(submitted: usize, rows: &[ResultRow]) -> Value {
     results_doc_cmp(submitted, rows, &[])
+}
+
+/// The `outcome`, `error` and `result` fields of one `results.json` row.
+fn outcome_fields<C: Cell>(outcome: &Outcome<C::Result>) -> [(String, Value); 3] {
+    [
+        (
+            "outcome".into(),
+            Value::Str(if outcome.is_failed() { "failed" } else { "ok" }.into()),
+        ),
+        (
+            "error".into(),
+            outcome
+                .failure()
+                .map_or(Value::Null, |e| Value::Str(e.into())),
+        ),
+        (
+            "result".into(),
+            outcome.result().map_or(Value::Null, C::encode),
+        ),
+    ]
 }
 
 /// [`results_doc`] with multi-core CMP cells appended: single-core jobs
@@ -1422,34 +1298,13 @@ pub fn results_doc_cmp(submitted: usize, rows: &[ResultRow], cmp_rows: &[CmpResu
     let jobs: Vec<Value> = rows
         .iter()
         .map(|row| {
-            Value::Obj(vec![
+            let mut fields = vec![
                 ("id".into(), Value::Str(row.id.to_string())),
                 ("workload".into(), Value::Str(row.workload.clone())),
                 ("prefetcher".into(), Value::Str(row.prefetcher.clone())),
-                (
-                    "outcome".into(),
-                    Value::Str(
-                        if row.outcome.is_failed() {
-                            "failed"
-                        } else {
-                            "ok"
-                        }
-                        .into(),
-                    ),
-                ),
-                (
-                    "error".into(),
-                    row.outcome
-                        .failure()
-                        .map_or(Value::Null, |e| Value::Str(e.into())),
-                ),
-                (
-                    "result".into(),
-                    row.outcome
-                        .result()
-                        .map_or(Value::Null, store::result_to_json),
-                ),
-            ])
+            ];
+            fields.extend(outcome_fields::<Job>(&row.outcome));
+            Value::Obj(fields)
         })
         .collect();
     let mut fields = vec![
@@ -1470,35 +1325,14 @@ pub fn results_doc_cmp(submitted: usize, rows: &[ResultRow], cmp_rows: &[CmpResu
         let cmp_jobs: Vec<Value> = cmp_rows
             .iter()
             .map(|row| {
-                Value::Obj(vec![
+                let mut fields = vec![
                     ("id".into(), Value::Str(row.id.to_string())),
                     ("cell".into(), Value::Str(row.cell.clone())),
                     ("prefetcher".into(), Value::Str(row.prefetcher.clone())),
                     ("cores".into(), Value::Int(row.cores)),
-                    (
-                        "outcome".into(),
-                        Value::Str(
-                            if row.outcome.is_failed() {
-                                "failed"
-                            } else {
-                                "ok"
-                            }
-                            .into(),
-                        ),
-                    ),
-                    (
-                        "error".into(),
-                        row.outcome
-                            .failure()
-                            .map_or(Value::Null, |e| Value::Str(e.into())),
-                    ),
-                    (
-                        "result".into(),
-                        row.outcome
-                            .result()
-                            .map_or(Value::Null, crate::cmp::cmp_result_to_json),
-                    ),
-                ])
+                ];
+                fields.extend(outcome_fields::<CmpJob>(&row.outcome));
+                Value::Obj(fields)
             })
             .collect();
         fields.push(("cmp_jobs".into(), Value::Arr(cmp_jobs)));
@@ -1681,11 +1515,42 @@ mod tests {
         let _ = h.run(&jobs);
         let path = dir.join("results.json");
         h.write_results_json(&path).unwrap();
+        let single_only = std::fs::read(&path).unwrap();
+        let doc = json::parse(std::str::from_utf8(&single_only).unwrap()).unwrap();
+        assert!(doc.get("cmp_jobs").is_none(), "no CMP cells, no cmp_jobs");
+        assert_eq!(
+            single_only,
+            results_doc(3, &h.result_rows())
+                .to_json_pretty()
+                .into_bytes(),
+            "single-core results.json keeps its pre-CMP bytes"
+        );
+
+        // A CMP cell is counted, so it is listed too.
+        let cell = CmpJob::new(
+            ebcp_sim::CmpSpec::homogeneous(
+                WorkloadSpec::database().scaled(1, 32),
+                2,
+                5_000,
+                5_000,
+                SimConfig::scaled_down(16),
+            ),
+            PrefetcherSpec::None,
+        );
+        let _ = h.run(std::slice::from_ref(&cell));
+        h.write_results_json(&path).unwrap();
         let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(doc.get("jobs").unwrap().as_arr().unwrap().len(), 2);
+        let cmp_jobs = doc.get("cmp_jobs").unwrap().as_arr().unwrap();
+        assert_eq!(cmp_jobs.len(), 1);
+        assert_eq!(
+            cmp_jobs[0].get("id").unwrap().as_str(),
+            Some(&*cell.id().to_string())
+        );
+        assert_eq!(cmp_jobs[0].get("cores").unwrap().as_u64(), Some(2));
         let summary = doc.get("summary").unwrap();
-        assert_eq!(summary.get("submitted").unwrap().as_u64(), Some(3));
-        assert_eq!(summary.get("unique").unwrap().as_u64(), Some(2));
+        assert_eq!(summary.get("submitted").unwrap().as_u64(), Some(4));
+        assert_eq!(summary.get("unique").unwrap().as_u64(), Some(3));
         assert_eq!(summary.get("failed").unwrap().as_u64(), Some(0));
         let first = &doc.get("jobs").unwrap().as_arr().unwrap()[0];
         assert_eq!(first.get("outcome").unwrap().as_str(), Some("ok"));
@@ -1714,10 +1579,12 @@ mod tests {
                 .get("executed")
                 .unwrap()
                 .as_u64(),
-            Some(2)
+            Some(3)
         );
-        let tfirst = &tdoc.get("jobs").unwrap().as_arr().unwrap()[0];
-        assert_eq!(tfirst.get("source").unwrap().as_str(), Some("run"));
+        let tjobs = tdoc.get("jobs").unwrap().as_arr().unwrap();
+        assert_eq!(tjobs.len(), 3, "telemetry lists the CMP cell too");
+        assert_eq!(tjobs[0].get("source").unwrap().as_str(), Some("run"));
+        assert_eq!(tjobs[2].get("cores").unwrap().as_u64(), Some(2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1790,7 +1657,7 @@ mod tests {
 
     /// The routing decision, both directions: a mis-shaped single-core
     /// `Job` over a CMP per-core workload gets a precise capability
-    /// error that names the correct route (`Harness::run_cmp`), and the
+    /// error that names the correct route (a `CmpJob`), and the
     /// correctly-shaped `CmpJob` actually runs there — through the DES
     /// engine — instead of being rejected.
     #[test]
@@ -1803,7 +1670,7 @@ mod tests {
         let reason = out[0].failure().expect("mis-shaped job must be rejected");
         assert!(reason.contains("CMP"), "{reason}");
         assert!(
-            reason.contains("Harness::run_cmp"),
+            reason.contains("as a CmpJob via Harness::run"),
             "the error must name the correct route: {reason}"
         );
         let s = h.summary();
@@ -1834,7 +1701,7 @@ mod tests {
             ),
             PrefetcherSpec::None,
         );
-        let cmp_out = h.run_cmp_outcomes(std::slice::from_ref(&cell));
+        let cmp_out = h.run_outcomes(std::slice::from_ref(&cell));
         let r = cmp_out[0]
             .result()
             .expect("CmpJob must run, not be rejected");
@@ -1865,16 +1732,16 @@ mod tests {
             PrefetcherSpec::Ebcp(ebcp_core::EbcpConfig::tuned()),
         );
         let h = Harness::new(cfg.clone());
-        let a = h.run_cmp(std::slice::from_ref(&cell));
+        let a = h.run(std::slice::from_ref(&cell));
         assert_eq!(a[0], cell.spec.run(&cell.pf), "harness == direct engine");
         // Same harness: memo hit, nothing executed.
-        let b = h.run_cmp(std::slice::from_ref(&cell));
+        let b = h.run(std::slice::from_ref(&cell));
         assert_eq!(a, b);
         assert_eq!(h.summary().executed, 1);
         assert_eq!(h.summary().memo_hits, 1);
         // Fresh harness, warm store: disk hit, zero simulations.
         let h2 = Harness::new(cfg);
-        let c = h2.run_cmp(std::slice::from_ref(&cell));
+        let c = h2.run(std::slice::from_ref(&cell));
         assert_eq!(a, c);
         let s = h2.summary();
         assert_eq!((s.executed, s.disk_hits), (0, 1));
@@ -1882,7 +1749,8 @@ mod tests {
     }
 
     /// A faulting prefetcher fails only its own CMP cell; the sibling
-    /// cell completes and matches its direct run.
+    /// cell completes and matches its direct run. The failure is named
+    /// in `failures()` like a single-core one.
     #[test]
     fn cmp_fault_cell_fails_alone() {
         use ebcp_prefetch::{BaselineConfig, FaultConfig};
@@ -1904,11 +1772,16 @@ mod tests {
             ),
         ];
         let h = Harness::serial();
-        let out = h.run_cmp_outcomes(&cells);
+        let out = h.run_outcomes(&cells);
         let reason = out[1].failure().expect("fault cell must fail");
         assert!(reason.contains("injected fault"), "{reason}");
         assert_eq!(h.summary().failed, 1);
         assert_eq!(out[0].result().unwrap(), &spec.run(&PrefetcherSpec::None));
+        assert_eq!(
+            h.failures(),
+            vec![(cells[1].label(), reason.to_string())],
+            "the failed CMP cell must be reported by name"
+        );
     }
 
     /// The bounded-memory streamed path — in every store configuration —

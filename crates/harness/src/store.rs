@@ -1,4 +1,5 @@
-//! On-disk result store: one JSON file per job, keyed by content hash.
+//! On-disk result store: one JSON file per cell (single-core [`crate::Job`]
+//! or multi-core [`crate::CmpJob`]), keyed by content hash.
 //!
 //! A warm store makes re-runs incremental — `repro all` executed twice
 //! at the same scale performs zero simulations the second time. Files
@@ -29,15 +30,17 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ebcp_mem::{BusStats, MemStats};
-use ebcp_sim::SimResult;
+use ebcp_sim::{CmpResult, SimResult};
 
-use crate::job::{fnv1a64, Job};
+use crate::job::fnv1a64;
 use crate::json::{self, Value};
+use crate::{Cell, CmpJob};
 
-/// On-disk schema version; bump on incompatible result layout changes.
+/// On-disk schema version of single-core entries; bump on incompatible
+/// result layout changes. CMP entries carry their own `CMP_SCHEMA`.
 ///
 /// v3: added the `checksum` integrity field.
-const SCHEMA: u64 = 3;
+pub(crate) const SCHEMA: u64 = 3;
 
 /// Sequence counter making concurrent temp-file names unique within a
 /// process; the pid makes them unique across processes.
@@ -141,7 +144,8 @@ pub(crate) fn migrate_flat_entries(dir: &Path) {
     }
 }
 
-/// A directory of cached [`SimResult`]s, keyed by [`Job`] hash.
+/// A directory of cached cell results, keyed by [`Cell`] hash: one
+/// `{schema, id, job, checksum, result}` JSON envelope per entry.
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
@@ -169,43 +173,41 @@ impl ResultStore {
         &self.dir
     }
 
-    /// The on-disk path of `job`'s entry (sharded layout). The file may
-    /// or may not exist.
-    pub fn entry_path(&self, job: &Job) -> PathBuf {
-        let name = format!("{}.json", job.id());
+    /// The on-disk path of a cell's entry (sharded layout; single-core
+    /// entries are `<id>.json`, CMP entries `<id>.cmp.json`, so the two
+    /// result shapes never collide on a file name). The file may or may
+    /// not exist.
+    pub fn entry_path<C: Cell>(&self, job: &C) -> PathBuf {
+        let name = format!("{}{}", job.id(), C::SUFFIX);
         self.dir.join(shard_of(&name)).join(name)
     }
 
-    fn path_for(&self, job: &Job) -> PathBuf {
+    /// [`ResultStore::entry_path`] for a CMP cell, under its historical name.
+    pub fn cmp_entry_path(&self, job: &CmpJob) -> PathBuf {
         self.entry_path(job)
-    }
-
-    /// The legacy flat path entries lived at before sharding.
-    fn flat_path_for(&self, job: &Job) -> PathBuf {
-        self.dir.join(format!("{}.json", job.id()))
     }
 
     /// Loads the cached result for `job`, if present and valid.
     ///
     /// Convenience wrapper over [`ResultStore::load_checked`] that
     /// collapses misses and quarantines to `None`.
-    pub fn load(&self, job: &Job) -> Option<SimResult> {
+    pub fn load<C: Cell>(&self, job: &C) -> Option<C::Result> {
         self.load_checked(job).into_hit()
     }
 
     /// Integrity-checked load: distinguishes a valid entry, a plain
     /// miss (absent, stale schema, hash collision) and a *corrupt*
-    /// entry, which is quarantined (renamed to `<id>.json.corrupt`) so
-    /// the caller can log it and transparently re-run the job.
-    pub fn load_checked(&self, job: &Job) -> CacheRead<SimResult> {
-        let sharded = self.path_for(job);
+    /// entry, which is quarantined (renamed to `<name>.corrupt`) so
+    /// the caller can log it and transparently re-run the cell.
+    pub fn load_checked<C: Cell>(&self, job: &C) -> CacheRead<C::Result> {
+        let sharded = self.entry_path(job);
         let (path, text) = match fs::read_to_string(&sharded) {
             Ok(text) => (sharded, text),
             Err(_) => {
                 // Read-through migration: a process running pre-sharding
                 // code may have written a flat entry after this store
                 // was opened and swept. Move it home, best effort.
-                let flat = self.flat_path_for(job);
+                let flat = self.dir.join(format!("{}{}", job.id(), C::SUFFIX));
                 let Ok(text) = fs::read_to_string(&flat) else {
                     return CacheRead::Miss;
                 };
@@ -225,14 +227,14 @@ impl ResultStore {
         let Some(schema) = v.get("schema").and_then(Value::as_u64) else {
             return quarantine(path, "missing schema field".into());
         };
-        if schema != SCHEMA {
+        if schema != C::SCHEMA {
             // A different (older or newer) schema is staleness, not
             // corruption: plain miss, overwritten on save.
             return CacheRead::Miss;
         }
         // Collision guard: the stored canonical string must match the
-        // job that hashed to this file name. A well-formed entry for a
-        // *different* job is a collision, not corruption.
+        // cell that hashed to this file name. A well-formed entry for a
+        // *different* cell is a collision, not corruption.
         match v.get("job").and_then(Value::as_str) {
             None => return quarantine(path, "missing job field".into()),
             Some(canon) if canon != job.canonical() => return CacheRead::Miss,
@@ -246,15 +248,20 @@ impl ResultStore {
             Some(_) => return quarantine(path, "checksum mismatch".into()),
             None => return quarantine(path, "missing checksum field".into()),
         }
-        match result_from_json(result) {
+        match C::decode(result) {
             Some(r) => CacheRead::Hit(r),
             None => quarantine(path, "undecodable result".into()),
         }
     }
 
+    /// [`ResultStore::load_checked`] for a CMP cell, under its historical name.
+    pub fn load_checked_cmp(&self, job: &CmpJob) -> CacheRead<CmpResult> {
+        self.load_checked(job)
+    }
+
     /// Persists `result` for `job` (atomically: write temp, rename).
     /// The temp name is pid- and sequence-unique, so concurrent saves
-    /// of the same job — from two processes sharing a store, or two
+    /// of the same cell — from two processes sharing a store, or two
     /// threads — can never interleave writes into one temp file and
     /// publish a torn entry.
     ///
@@ -262,22 +269,31 @@ impl ResultStore {
     ///
     /// Propagates I/O failures; callers may treat them as non-fatal
     /// (the run still succeeded, only the cache write was lost).
-    pub fn save(&self, job: &Job, result: &SimResult) -> io::Result<()> {
-        let result_json = result_to_json(result);
+    pub fn save<C: Cell>(&self, job: &C, result: &C::Result) -> io::Result<()> {
+        let result_json = C::encode(result);
         let doc = Value::Obj(vec![
-            ("schema".into(), Value::Int(SCHEMA)),
+            ("schema".into(), Value::Int(C::SCHEMA)),
             ("id".into(), Value::Str(job.id().to_string())),
             ("job".into(), Value::Str(job.canonical())),
             ("checksum".into(), Value::Str(result_checksum(&result_json))),
             ("result".into(), result_json),
         ]);
-        let path = self.path_for(job);
+        let path = self.entry_path(job);
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }
         let tmp = unique_tmp(&path, "json");
         fs::write(&tmp, doc.to_json_pretty())?;
         fs::rename(&tmp, &path)
+    }
+
+    /// [`ResultStore::save`] for a CMP cell, under its historical name.
+    ///
+    /// # Errors
+    ///
+    /// As [`ResultStore::save`].
+    pub fn save_cmp(&self, job: &CmpJob, result: &CmpResult) -> io::Result<()> {
+        self.save(job, result)
     }
 }
 
@@ -540,6 +556,7 @@ pub fn result_from_json(v: &Value) -> Option<SimResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Job;
     use ebcp_sim::{PrefetcherSpec, RunSpec, SimConfig};
     use ebcp_trace::WorkloadSpec;
 
@@ -626,39 +643,102 @@ mod tests {
         let _ = fs::remove_dir_all(store.dir());
     }
 
+    /// One sample cell with two distinct results and a counter value
+    /// that appears once in its entry.
+    struct Sample<C: Cell> {
+        job: C,
+        a: C::Result,
+        b: C::Result,
+        counter: &'static [u8],
+    }
+
+    /// A sample of each kind — a single-core job and a CMP cell — for
+    /// the store-envelope cases, which run over both.
+    fn samples() -> (Sample<Job>, Sample<CmpJob>) {
+        let cmp = crate::cmp::tests::sample_result(2);
+        let mut other = cmp.clone();
+        other.aggregate.insts = 999_999_999;
+        (
+            Sample {
+                job: sample_job(),
+                a: sample_result(),
+                b: SimResult {
+                    insts: 999_999_999,
+                    ..sample_result()
+                },
+                counter: b"123456,",
+            },
+            Sample {
+                job: CmpJob::new(crate::cmp::tests::sample_spec(2), PrefetcherSpec::None),
+                a: cmp,
+                b: other,
+                counter: b"9000,",
+            },
+        )
+    }
+
     #[test]
     fn bit_flip_in_counter_is_quarantined() {
-        let store = temp_store("bitflip");
-        let job = sample_job();
-        store.save(&job, &sample_result()).unwrap();
+        let (job, cmp) = samples();
+        bit_flip_case("bitflip-job", job);
+        bit_flip_case("bitflip-cmp", cmp);
+    }
+
+    /// Flips a digit inside the result payload: still valid JSON, but a
+    /// different value than the checksum covers. The entry is
+    /// quarantined, and a fresh save heals it.
+    fn bit_flip_case<C: Cell>(tag: &str, sample: Sample<C>)
+    where
+        C::Result: PartialEq + std::fmt::Debug,
+    {
+        let Sample {
+            job, a, counter, ..
+        } = sample;
+        let store = temp_store(tag);
+        assert_eq!(
+            store.load_checked(&job),
+            CacheRead::Miss,
+            "cold store must miss"
+        );
+        store.save(&job, &a).unwrap();
         let path = store.entry_path(&job);
         let mut bytes = fs::read(&path).unwrap();
-        // Flip a digit inside the result payload: still valid JSON, but
-        // a different value than the checksum covers.
         let at = bytes
-            .windows(7)
-            .position(|w| w == b"123456,")
+            .windows(counter.len())
+            .position(|w| w == counter)
             .expect("sample counter must appear in the entry");
-        bytes[at] = b'9';
+        bytes[at] = if bytes[at] == b'9' { b'7' } else { b'9' };
         fs::write(&path, &bytes).unwrap();
         match store.load_checked(&job) {
-            CacheRead::Quarantined { reason, .. } => {
-                assert!(reason.contains("checksum"), "{reason}")
+            CacheRead::Quarantined { path: q, reason } => {
+                assert!(reason.contains("checksum"), "{reason}");
+                assert!(q.to_string_lossy().ends_with(".corrupt"), "{}", q.display());
             }
             other => panic!("expected quarantine, got {other:?}"),
         }
+        store.save(&job, &a).unwrap();
+        assert_eq!(store.load_checked(&job), CacheRead::Hit(a));
         let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]
     fn stale_schema_is_a_plain_miss_not_corruption() {
-        let store = temp_store("stale");
-        let job = sample_job();
+        let (job, cmp) = samples();
+        stale_schema_case("stale-job", job);
+        stale_schema_case("stale-cmp", cmp);
+    }
+
+    fn stale_schema_case<C: Cell>(tag: &str, sample: Sample<C>)
+    where
+        C::Result: PartialEq + std::fmt::Debug,
+    {
+        let Sample { job, a, .. } = sample;
+        let store = temp_store(tag);
         let doc = Value::Obj(vec![
-            ("schema".into(), Value::Int(SCHEMA - 1)),
+            ("schema".into(), Value::Int(C::SCHEMA - 1)),
             ("id".into(), Value::Str(job.id().to_string())),
             ("job".into(), Value::Str(job.canonical())),
-            ("result".into(), result_to_json(&sample_result())),
+            ("result".into(), C::encode(&a)),
         ]);
         let path = store.entry_path(&job);
         fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -670,15 +750,24 @@ mod tests {
 
     #[test]
     fn canonical_mismatch_reads_as_miss() {
-        let store = temp_store("collision");
-        let job = sample_job();
-        // Simulate a hash collision: a valid entry under this job's file
-        // name whose canonical string belongs to some other job.
+        let (job, cmp) = samples();
+        canonical_mismatch_case("collision-job", job);
+        canonical_mismatch_case("collision-cmp", cmp);
+    }
+
+    /// Simulates a hash collision: a valid entry under this cell's file
+    /// name whose canonical string belongs to some other cell.
+    fn canonical_mismatch_case<C: Cell>(tag: &str, sample: Sample<C>)
+    where
+        C::Result: PartialEq + std::fmt::Debug,
+    {
+        let Sample { job, a, .. } = sample;
+        let store = temp_store(tag);
         let doc = Value::Obj(vec![
-            ("schema".into(), Value::Int(SCHEMA)),
+            ("schema".into(), Value::Int(C::SCHEMA)),
             ("id".into(), Value::Str(job.id().to_string())),
             ("job".into(), Value::Str("other-job".into())),
-            ("result".into(), result_to_json(&sample_result())),
+            ("result".into(), C::encode(&a)),
         ]);
         let path = store.entry_path(&job);
         fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -696,18 +785,23 @@ mod tests {
     /// and could rename a half-written file into place.
     #[test]
     fn concurrent_saves_never_publish_a_torn_entry() {
-        let store = temp_store("race");
-        let job = sample_job();
-        let a = sample_result();
-        let b = SimResult {
-            insts: 999_999_999,
-            ..sample_result()
-        };
+        let (job, cmp) = samples();
+        concurrent_saves_case("race-job", job);
+        concurrent_saves_case("race-cmp", cmp);
+    }
+
+    fn concurrent_saves_case<C: Cell>(tag: &str, sample: Sample<C>)
+    where
+        C::Result: PartialEq + std::fmt::Debug + Sync,
+    {
+        let Sample { job, a, b, .. } = sample;
+        let store = temp_store(tag);
         std::thread::scope(|s| {
             for result in [&a, &b] {
-                s.spawn(|| {
+                let (store, job) = (&store, &job);
+                s.spawn(move || {
                     for _ in 0..200 {
-                        store.save(&job, result).unwrap();
+                        store.save(job, result).unwrap();
                     }
                 });
             }

@@ -253,7 +253,7 @@ impl TriangelPrefetcher {
         if e.last_line != NO_LINE {
             e.misses += 1;
             // 1-in-N sampler: record this pair in the sample table.
-            if e.misses % self.config.sample_rate == 0 {
+            if e.misses.is_multiple_of(self.config.sample_rate) {
                 self.sample.insert(e.last_line, line.index());
             }
             // Arm a check if the sampler has seen this line before: the
