@@ -16,7 +16,7 @@
 //!   memory, not speedup.
 //! * **1-worker stream replay** — large tier only: the front end runs
 //!   once, streaming blocks to an on-disk pre-resolved cache
-//!   (`EBCPPRE3`, the harness's own format); one worker then replays
+//!   (`EBCPPRE4`, the harness's own format); one worker then replays
 //!   the stream end to end. Exact, and the honest single-worker cost
 //!   of a cached back-end pass.
 //! * **scatter** — large tier only: ≥2 workers replay the measured

@@ -19,45 +19,14 @@ pub const CANON_VERSION: &str = "ebcp-job-v2";
 
 /// 64-bit FNV-1a. Stable across platforms and processes (unlike
 /// `DefaultHasher`, which is randomly keyed per process), so hashes can
-/// key an on-disk store.
+/// key an on-disk store. Identity hashes stay FNV-1a — store paths and
+/// pinned digests depend on its values — while the segmented file
+/// formats checksum their bytes with `ebcp_types::checksum` (XXH64).
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(bytes);
-    h.finish()
-}
-
-/// Incremental form of [`fnv1a64`], for hashing data produced in
-/// chunks (e.g. streaming cache-file writers) without buffering it.
-#[derive(Debug, Clone)]
-pub struct Fnv64(u64);
-
-impl Fnv64 {
-    /// Starts a fresh hash at the FNV offset basis.
-    #[must_use]
-    pub fn new() -> Fnv64 {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds `bytes` into the hash.
-    pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// The digest so far.
-    #[must_use]
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64::new()
-    }
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// A job's stable identity: the FNV-1a hash of its canonical string.

@@ -90,7 +90,7 @@ use ebcp_trace::template::WorkloadProgram;
 use ebcp_trace::{Backing, ChunkSource, TraceGenerator};
 
 pub use crate::cmp::{CmpJob, CMP_CANON_VERSION};
-pub use crate::job::{fnv1a64, Fnv64, Job, JobId};
+pub use crate::job::{fnv1a64, Job, JobId};
 pub use crate::json::Value;
 pub use crate::queue::{JobService, QueueConfig, ServiceStatus, SubmitError};
 pub use crate::scale::Scale;
@@ -992,11 +992,12 @@ impl Harness {
 
     /// Opens `job`'s per-segment pre-resolved block stream from the
     /// store, building it first when cold: trace records come from the
-    /// segmented trace store (mmap'd windows) when enabled, else from
-    /// chunked generation, and finished blocks go straight to disk — so
-    /// even building the stream never materializes it. Corrupt cached
-    /// files (stream or trace) are quarantined, reported over `tx`, and
-    /// rebuilt.
+    /// segmented trace store when enabled (mmap'd windows when warm;
+    /// when cold, generated and written to the store in the same pass
+    /// that resolves them), else from chunked generation, and finished
+    /// blocks go straight to disk — so even building the stream never
+    /// materializes it. Corrupt cached files (stream or trace) are
+    /// quarantined, reported over `tx`, and rebuilt.
     ///
     /// # Panics
     ///
@@ -1019,15 +1020,19 @@ impl Harness {
         let spec = &job.spec;
         let mut writer =
             preres::PreresWriter::create(dir, job, seg_records).expect("preres stream writer");
-        let mut src: Box<dyn ChunkSource> = if self.cfg.trace_store {
-            let trace =
-                traces::open_or_generate(dir, spec, seg_records, Backing::Mmap, |path, reason| {
-                    report_quarantine(tx, &path, reason)
-                })
-                .expect("segmented trace store");
-            Box::new(trace)
-        } else {
-            Box::new(TraceGenerator::new(&spec.workload, spec.seed))
+        let mut stored = self.cfg.trace_store.then(|| {
+            traces::StoredTrace::open(dir, spec, seg_records, Backing::Mmap, |path, reason| {
+                report_quarantine(tx, &path, reason)
+            })
+            .expect("segmented trace store")
+        });
+        let mut gen;
+        let src: &mut dyn ChunkSource = match &mut stored {
+            Some(trace) => trace,
+            None => {
+                gen = TraceGenerator::new(&spec.workload, spec.seed);
+                &mut gen
+            }
         };
         let mut pr = PreResolver::new(&spec.sim);
         let mut chunk = Vec::with_capacity(Engine::CHUNK_RECORDS);
@@ -1048,6 +1053,13 @@ impl Harness {
                     .push_block(&b.events, b.records)
                     .expect("preres block write");
                 blocks += 1;
+                // Start the next block at the size this one reached: every
+                // segment then reuses one allocation instead of regrowing
+                // from empty, which keeps the peak resident set the same
+                // whatever the per-segment event counts.
+                let cap = b.events.capacity();
+                drop(b);
+                pr.reserve(cap);
             }
         }
         if pr.pending_records() > 0 || blocks == 0 {
@@ -1055,6 +1067,10 @@ impl Harness {
             writer
                 .push_block(&b.events, b.records)
                 .expect("preres block write");
+        }
+        if let Some(trace) = stored {
+            // Publishes a freshly written trace and verifies it.
+            trace.finish().expect("segmented trace store");
         }
         writer.finish().expect("preres stream publish");
         match preres::open_stream_checked(dir, job) {
@@ -1850,6 +1866,191 @@ mod tests {
             assert_eq!(warm.summary().executed, 2, "results were wiped");
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// Re-seals a segmented file (trace or pre-resolved stream) after
+    /// its payload or index was edited: recomputes every segment
+    /// checksum from the index's item counts, the index checksum and
+    /// the footer, so only the structural checks can reject it. Index
+    /// entries are `entry_bytes` wide, start with the segment's item
+    /// count and end with its checksum.
+    pub(crate) fn reseal(
+        bytes: &mut [u8],
+        payload_base: usize,
+        entry_bytes: usize,
+        item_bytes: usize,
+    ) {
+        use ebcp_trace::segfile::{Footer, FOOTER_BYTES};
+        use ebcp_types::checksum::checksum64;
+        let le = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        let n = bytes.len();
+        // Read the fields without the self-checksum: edits may touch them.
+        let field = |k: usize| le(bytes, n - FOOTER_BYTES + 8 * k);
+        let footer = Footer {
+            records: field(0),
+            seg_records: field(1),
+            n_segs: field(2),
+            index_checksum: 0,
+            head_checksum: field(4),
+        };
+        let index_base = n - FOOTER_BYTES - footer.n_segs as usize * entry_bytes;
+        let mut at = payload_base;
+        for k in 0..footer.n_segs as usize {
+            let entry = index_base + k * entry_bytes;
+            let len = le(bytes, entry) as usize * item_bytes;
+            let sum = checksum64(&bytes[at..at + len]).to_le_bytes();
+            bytes[entry + entry_bytes - 8..entry + entry_bytes].copy_from_slice(&sum);
+            at += len;
+        }
+        let footer = Footer {
+            index_checksum: checksum64(&bytes[index_base..n - FOOTER_BYTES]),
+            ..footer
+        };
+        bytes[n - FOOTER_BYTES..].copy_from_slice(&footer.encode());
+    }
+
+    /// Checksum-valid garbage in the streamed tier's files — a record
+    /// tag or event kind out of range, or a segment whose events do not
+    /// sum to its indexed record count — is quarantined at open and
+    /// healed, never decoded mid-replay, and results stay identical.
+    #[test]
+    fn checksum_valid_garbage_quarantines_and_heals_byte_identically() {
+        let jobs = small_batch();
+        let dir = std::env::temp_dir().join(format!("ebcp-harness-garbage-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = HarnessConfig {
+            jobs: 1,
+            mem_budget_bytes: 1,
+            store_dir: Some(dir.clone()),
+            trace_store: true,
+            ..HarnessConfig::default()
+        };
+        let reference = Harness::new(cfg.clone()).run(&jobs);
+        let trace_path = traces::path_for(&dir, &jobs[0].spec);
+        let stream_path = preres::path_for(&dir, &jobs[0]);
+        let trace_base = 12 + traces::trace_canonical(&jobs[0].spec).len();
+        let stream_base = {
+            let b = std::fs::read(&stream_path).unwrap();
+            12 + u32::from_le_bytes(b[8..12].try_into().unwrap()) as usize
+        };
+        type Edit = fn(&mut [u8], usize);
+        let cases: [(&str, &Path, usize, usize, usize, Edit); 3] = [
+            ("tag", &trace_path, trace_base, 16, 17, |b, base| {
+                b[base + 17 * 5] = 7
+            }),
+            ("kind", &stream_path, stream_base, 24, 24, |b, base| {
+                b[base + 24 * 2 + 20..base + 24 * 3].copy_from_slice(&14u32.to_le_bytes());
+            }),
+            ("sum", &stream_path, stream_base, 24, 24, |b, _| {
+                // One segment: claim one more record in both the index
+                // and the footer, so only the per-segment sum disagrees.
+                let n = b.len();
+                for at in [n - 48 - 24 + 8, n - 48] {
+                    let v = u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+                    b[at..at + 8].copy_from_slice(&(v + 1).to_le_bytes());
+                }
+            }),
+        ];
+        for (what, path, base, entry, item, edit) in cases {
+            let mut bytes = std::fs::read(path).unwrap();
+            edit(&mut bytes, base);
+            reseal(&mut bytes, base, entry, item);
+            std::fs::write(path, &bytes).unwrap();
+            if what == "tag" {
+                // The trace is only read when the stream must be rebuilt.
+                std::fs::remove_file(&stream_path).unwrap();
+            }
+            let store = ResultStore::open(&dir).unwrap();
+            for job in &jobs {
+                let _ = std::fs::remove_file(store.entry_path(job));
+            }
+            let healed = Harness::new(cfg.clone());
+            assert_eq!(
+                healed.run(&jobs),
+                reference,
+                "{what}: healed results differ"
+            );
+            assert_eq!(healed.summary().quarantined, 1, "{what}");
+            let mut corrupt = path.as_os_str().to_owned();
+            corrupt.push(".corrupt");
+            assert!(
+                Path::new(&corrupt).is_file(),
+                "{what}: bytes kept for post-mortem"
+            );
+            std::fs::remove_file(&corrupt).unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Generating the trace while resolving it (a cold trace store)
+    /// writes the same trace and stream files, byte for byte, as
+    /// generating the trace first and then resolving it from the file.
+    #[test]
+    fn generate_while_writing_matches_the_two_pass_build() {
+        let mut s = spec(WorkloadSpec::database().scaled(1, 16), 5);
+        s.warmup_insts = 100_000;
+        s.measure_insts = 40_000;
+        let job = Job::new(s.clone(), PrefetcherSpec::None);
+        let root = std::env::temp_dir().join(format!("ebcp-harness-gww-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (one, two) = (root.join("one"), root.join("two"));
+        let h = Harness::new(HarnessConfig {
+            jobs: 1,
+            mem_budget_bytes: 1,
+            store_dir: Some(one.clone()),
+            trace_store: true,
+            ..HarnessConfig::default()
+        });
+        h.run(std::slice::from_ref(&job));
+        let seg = preres::open_stream_checked(&one, &job)
+            .into_hit()
+            .expect("stream written")
+            .seg_records();
+        assert!(
+            s.warmup_insts + s.measure_insts > 2 * seg,
+            "several segments"
+        );
+
+        // The two-pass reference: write the trace, then resolve it from
+        // the file into one block per segment.
+        traces::generate(&two, &s, seg).unwrap();
+        let mut trace = ebcp_trace::SegmentedTrace::open(
+            &traces::path_for(&two, &s),
+            traces::trace_canonical(&s).as_bytes(),
+            Backing::Mmap,
+        )
+        .unwrap();
+        let mut w = preres::PreresWriter::create(&two, &job, seg).unwrap();
+        let mut pr = PreResolver::new(&s.sim);
+        let mut chunk = Vec::new();
+        loop {
+            let room = (seg - pr.pending_records()) as usize;
+            if trace.next_chunk(&mut chunk, room.min(Engine::CHUNK_RECORDS)) == 0 {
+                break;
+            }
+            pr.push_chunk(&chunk);
+            if pr.pending_records() == seg {
+                let b = pr.split_block();
+                w.push_block(&b.events, b.records).unwrap();
+            }
+        }
+        if pr.pending_records() > 0 {
+            let b = pr.split_block();
+            w.push_block(&b.events, b.records).unwrap();
+        }
+        w.finish().unwrap();
+
+        for (a, b) in [
+            (traces::path_for(&one, &s), traces::path_for(&two, &s)),
+            (preres::path_for(&one, &job), preres::path_for(&two, &job)),
+        ] {
+            assert!(
+                std::fs::read(&a).unwrap() == std::fs::read(&b).unwrap(),
+                "{}",
+                a.display()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// With a tiny budget a lockstep unit replays the on-disk block

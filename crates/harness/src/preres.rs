@@ -9,58 +9,62 @@
 //! flat pre-sharding files migrate transparently (swept on store open,
 //! or read-through on first load).
 //!
-//! Format v3 ("EBCPPRE3"), all integers little-endian. The event
+//! Format v4 ("EBCPPRE4"), all integers little-endian. The event
 //! payload is cut into **segments** (each standing for a whole number
 //! of trace records) with a per-segment index, so the large tier can
 //! replay a stream block at a time — O(segment) peak memory — while
 //! the quick tier keeps writing one segment covering the whole stream:
 //!
 //! ```text
-//! magic     8 B   "EBCPPRE3"
+//! magic     8 B   "EBCPPRE4"
 //! canon_len u32   length of the canonical key string
 //! canon     ...   the exact string `pre_key` hashed (collision guard)
 //! payload   per-segment runs of events
 //!               { pc u64, dline u64, gap u32, flags u32 }  (24 B each)
 //! index     n_segs x { n_events u64, records u64, checksum u64 }
-//!               (checksum = FNV-1a over that segment's payload bytes)
-//! footer   48 B   records u64 | seg_records u64 | n_segs u64
-//!               | index_checksum u64      (FNV-1a over the index)
-//!               | head_checksum u64       (FNV-1a over magic..canon)
-//!               | footer_checksum u64     (FNV-1a over the 40
-//!                                          preceding footer bytes)
+//!               (checksum = XXH64 over that segment's payload bytes)
+//! footer   48 B   the segmented-trace footer (ebcp_trace::segfile::Footer)
 //! ```
 //!
-//! The index and totals live in a footer so [`PreresWriter`] can
-//! stream blocks out in one pass without knowing the totals up front
-//! (`seg_records` is the writer's nominal segment length in records,
-//! recorded for operator display — block replay reads per-segment
-//! record counts from the index).
+//! The framing and every checksum (streaming XXH64, seed 0) are shared
+//! with the segmented trace format through `ebcp_trace::segfile`; v3
+//! ("EBCPPRE3") used FNV-1a and now reads as stale. The index and
+//! totals live in a footer so [`PreresWriter`] can stream blocks out in
+//! one pass without knowing the totals up front (`seg_records` is the
+//! writer's nominal segment length in records, recorded for operator
+//! display — block replay reads per-segment record counts from the
+//! index).
 //!
 //! Loads are **integrity-checked**. A wrong magic (an older format
-//! revision, e.g. the single-blob "EBCPPRE2") or a canonical-string
-//! mismatch (hash collision) is *staleness*: a plain miss, overwritten
-//! in place by the next save. A checksum mismatch, truncation, or
-//! length that disagrees with the index is *corruption*: the file is
+//! revision) or a canonical-string mismatch (hash collision) is
+//! *staleness*: a plain miss, overwritten in place by the next save. A
+//! checksum mismatch, truncation, a length that disagrees with the
+//! index, an event kind out of range, or a segment whose events do not
+//! sum to its indexed record count is *corruption*: the file is
 //! quarantined (renamed to `*.corrupt`) and the front-end pass
 //! transparently re-runs, overwriting the original path (self-heal).
 //! Either way a bad entry only costs one front-end pass, never a wrong
-//! stream. [`open_stream_checked`] verifies header, index, footer
-//! **and every segment checksum** in one sequential O(segment) pass at
-//! open, so [`PreresStream::block`] reads during replay skip
-//! re-verification.
+//! stream. [`open_stream_checked`] verifies all of that in one
+//! sequential pass through a fixed buffer at open, so
+//! [`PreresStream::block`] reads during replay skip re-verification;
+//! [`load_checked`] decodes the events in that same pass.
 
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use ebcp_sim::frontend::{PreBlock, PreEvent, PreResolved};
 use ebcp_sim::RunSpec;
+use ebcp_trace::segfile::{
+    encode_head, open_frame, read_pieces, verify_payload, Footer, SegfileError,
+};
+use ebcp_types::checksum::{checksum64, Checksum64};
 
-use crate::job::{fnv1a64, Fnv64, Job, CANON_VERSION};
+use crate::job::{Job, CANON_VERSION};
 use crate::store::{quarantine, unique_tmp, CacheRead};
 
-/// v3 ("EBCPPRE3"): segmented payload with per-segment index/checksums.
-const MAGIC: &[u8; 8] = b"EBCPPRE3";
+/// v4 ("EBCPPRE4"): v3's segmented layout with XXH64 checksums.
+const MAGIC: &[u8; 8] = b"EBCPPRE4";
 
 /// Bytes per packed event (`pc u64, dline u64, gap u32, flags u32`).
 pub const EVENT_BYTES: u64 = 24;
@@ -68,8 +72,8 @@ pub const EVENT_BYTES: u64 = 24;
 /// Bytes per index entry (`n_events u64, records u64, checksum u64`).
 const INDEX_ENTRY_BYTES: u64 = 24;
 
-/// Bytes of the trailing footer.
-const FOOTER_BYTES: u64 = 48;
+/// Events encoded per write: bounds the writer's staging buffer.
+const WRITE_SLICE_EVENTS: usize = 4096;
 
 /// The canonical string [`Job::pre_key`] hashes — regenerated here so
 /// the stored collision guard and the key can never drift apart.
@@ -130,18 +134,21 @@ pub(crate) fn migrate_flat_streams(store_dir: &Path) {
 // Writing
 
 /// Streaming writer for a job's cached stream: push blocks as the
-/// front-end pass produces them; nothing but the index is buffered.
-/// Written to a pid- and sequence-unique temp file and renamed on
-/// [`PreresWriter::finish`] so concurrent writers never interleave and
-/// readers never observe a partial file.
+/// front-end pass produces them; nothing but the index and one bounded
+/// staging buffer is held. Written to a pid- and sequence-unique temp
+/// file and renamed on [`PreresWriter::finish`] so concurrent writers
+/// never interleave and readers never observe a partial file; a writer
+/// dropped without a successful `finish` removes its temp file.
 pub struct PreresWriter {
     w: BufWriter<File>,
     tmp: PathBuf,
     path: PathBuf,
+    published: bool,
     head_checksum: u64,
     seg_records: u64,
     records: u64,
     index: Vec<(u64, u64, u64)>,
+    buf: Vec<u8>,
 }
 
 impl PreresWriter {
@@ -156,23 +163,21 @@ impl PreresWriter {
         let path = path_for(store_dir, job);
         let dir = path.parent().expect("path_for always has a parent");
         std::fs::create_dir_all(dir)?;
-        let canon = pre_canonical(&job.spec);
-        let mut head = Vec::with_capacity(12 + canon.len());
-        head.extend_from_slice(MAGIC);
-        head.extend_from_slice(&(canon.len() as u32).to_le_bytes());
-        head.extend_from_slice(canon.as_bytes());
+        let head = encode_head(MAGIC, pre_canonical(&job.spec).as_bytes());
         let tmp = unique_tmp(&path, "bin");
-        let mut w = BufWriter::new(File::create(&tmp)?);
-        w.write_all(&head)?;
-        Ok(PreresWriter {
-            w,
+        let mut writer = PreresWriter {
+            w: BufWriter::new(File::create(&tmp)?),
             tmp,
             path,
-            head_checksum: fnv1a64(&head),
+            published: false,
+            head_checksum: checksum64(&head),
             seg_records,
             records: 0,
             index: Vec::new(),
-        })
+            buf: Vec::new(),
+        };
+        writer.w.write_all(&head)?;
+        Ok(writer)
     }
 
     /// Appends one segment: `events` covering `records` trace records.
@@ -181,15 +186,17 @@ impl PreresWriter {
     ///
     /// Propagates file-system failures.
     pub fn push_block(&mut self, events: &[PreEvent], records: u64) -> io::Result<()> {
-        let mut hash = Fnv64::new();
-        let mut buf = [0u8; EVENT_BYTES as usize];
-        for ev in events {
-            buf[0..8].copy_from_slice(&ev.pc.to_le_bytes());
-            buf[8..16].copy_from_slice(&ev.dline.to_le_bytes());
-            buf[16..20].copy_from_slice(&ev.gap.to_le_bytes());
-            buf[20..24].copy_from_slice(&ev.flags.to_le_bytes());
-            hash.update(&buf);
-            self.w.write_all(&buf)?;
+        let mut hash = Checksum64::new();
+        for slice in events.chunks(WRITE_SLICE_EVENTS) {
+            self.buf.resize(slice.len() * EVENT_BYTES as usize, 0);
+            for (out, ev) in self.buf.chunks_exact_mut(EVENT_BYTES as usize).zip(slice) {
+                out[0..8].copy_from_slice(&ev.pc.to_le_bytes());
+                out[8..16].copy_from_slice(&ev.dline.to_le_bytes());
+                out[16..20].copy_from_slice(&ev.gap.to_le_bytes());
+                out[20..24].copy_from_slice(&ev.flags.to_le_bytes());
+            }
+            hash.update(&self.buf);
+            self.w.write_all(&self.buf)?;
         }
         self.index
             .push((events.len() as u64, records, hash.finish()));
@@ -210,23 +217,27 @@ impl PreresWriter {
             index_bytes.extend_from_slice(&records.to_le_bytes());
             index_bytes.extend_from_slice(&checksum.to_le_bytes());
         }
-        let mut footer = Vec::with_capacity(FOOTER_BYTES as usize);
-        footer.extend_from_slice(&self.records.to_le_bytes());
-        footer.extend_from_slice(&self.seg_records.to_le_bytes());
-        footer.extend_from_slice(&(self.index.len() as u64).to_le_bytes());
-        footer.extend_from_slice(&fnv1a64(&index_bytes).to_le_bytes());
-        footer.extend_from_slice(&self.head_checksum.to_le_bytes());
-        footer.extend_from_slice(&fnv1a64(&footer).to_le_bytes());
-        let publish = (|| -> io::Result<()> {
-            self.w.write_all(&index_bytes)?;
-            self.w.write_all(&footer)?;
-            self.w.flush()?;
-            std::fs::rename(&self.tmp, &self.path)
-        })();
-        if publish.is_err() {
+        let footer = Footer {
+            records: self.records,
+            seg_records: self.seg_records,
+            n_segs: self.index.len() as u64,
+            index_checksum: checksum64(&index_bytes),
+            head_checksum: self.head_checksum,
+        };
+        self.w.write_all(&index_bytes)?;
+        self.w.write_all(&footer.encode())?;
+        self.w.flush()?;
+        std::fs::rename(&self.tmp, &self.path)?;
+        self.published = true;
+        Ok(())
+    }
+}
+
+impl Drop for PreresWriter {
+    fn drop(&mut self) {
+        if !self.published {
             let _ = std::fs::remove_file(&self.tmp);
         }
-        publish
     }
 }
 
@@ -264,6 +275,18 @@ pub struct PreresStream {
     records: u64,
     seg_records: u64,
     index: Vec<SegEntry>,
+    /// Reusable read buffer for [`PreresStream::block`].
+    buf: Vec<u8>,
+}
+
+/// Appends the events packed in `bytes` (a whole number of events).
+fn decode_events(bytes: &[u8], out: &mut Vec<PreEvent>) {
+    out.extend(bytes.chunks_exact(EVENT_BYTES as usize).map(|ev| PreEvent {
+        pc: u64::from_le_bytes(ev[0..8].try_into().expect("8-byte field")),
+        dline: u64::from_le_bytes(ev[8..16].try_into().expect("8-byte field")),
+        gap: u32::from_le_bytes(ev[16..20].try_into().expect("4-byte field")),
+        flags: u32::from_le_bytes(ev[20..24].try_into().expect("4-byte field")),
+    }));
 }
 
 impl PreresStream {
@@ -307,6 +330,7 @@ impl PreresStream {
             records: self.records,
             seg_records: self.seg_records,
             index: self.index.clone(),
+            buf: Vec::new(),
         })
     }
 
@@ -331,20 +355,22 @@ impl PreresStream {
     ///
     /// Panics if `k` is out of range.
     pub fn block(&mut self, k: usize) -> io::Result<PreBlock> {
+        // Sized for the largest block, not this one: each block then
+        // reuses the allocation its predecessor freed, so the peak
+        // resident set does not depend on the per-segment event counts.
+        let mut events = Vec::with_capacity((self.max_block_bytes() / EVENT_BYTES) as usize);
         let seg = &self.index[k];
-        let mut bytes = vec![0u8; (seg.n_events * EVENT_BYTES) as usize];
-        self.file
-            .seek(SeekFrom::Start(self.payload_base + seg.byte_off))?;
-        self.file.read_exact(&mut bytes)?;
-        let mut events = Vec::with_capacity(seg.n_events as usize);
-        for ev in bytes.chunks_exact(EVENT_BYTES as usize) {
-            events.push(PreEvent {
-                pc: u64::from_le_bytes(ev[0..8].try_into().unwrap()),
-                dline: u64::from_le_bytes(ev[8..16].try_into().unwrap()),
-                gap: u32::from_le_bytes(ev[16..20].try_into().unwrap()),
-                flags: u32::from_le_bytes(ev[20..24].try_into().unwrap()),
-            });
-        }
+        read_pieces::<io::Error>(
+            &mut self.file,
+            self.payload_base + seg.byte_off,
+            seg.n_events * EVENT_BYTES,
+            EVENT_BYTES as usize,
+            &mut self.buf,
+            |piece| {
+                decode_events(piece, &mut events);
+                Ok(())
+            },
+        )?;
         Ok(PreBlock {
             events,
             records: seg.records,
@@ -363,21 +389,24 @@ impl PreresStream {
     }
 }
 
-fn read_exact_at(file: &mut File, pos: u64, buf: &mut [u8]) -> io::Result<()> {
-    file.seek(SeekFrom::Start(pos))?;
-    file.read_exact(buf)
-}
-
-fn le_u64(buf: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(buf[at..at + 8].try_into().expect("8-byte window"))
-}
-
 /// Opens and fully validates `job`'s cached stream for block-at-a-time
 /// replay. Verification (header, index, footer, every segment
-/// checksum) runs in one sequential O(segment)-memory pass; corruption
-/// quarantines the file, staleness and collisions are plain misses —
-/// exactly the [`load_checked`] semantics.
+/// checksum, event kinds and per-segment record sums) runs in one
+/// sequential pass through a fixed buffer; corruption quarantines the
+/// file, staleness and collisions are plain misses — exactly the
+/// [`load_checked`] semantics.
 pub fn open_stream_checked(store_dir: &Path, job: &Job) -> CacheRead<PreresStream> {
+    open_checked(store_dir, job, None)
+}
+
+/// The one verify pass behind [`open_stream_checked`] and
+/// [`load_checked`]: when `decoded` is given, every verified event is
+/// also appended to it, so a whole-stream load reads the file once.
+fn open_checked(
+    store_dir: &Path,
+    job: &Job,
+    decoded: Option<&mut Vec<PreEvent>>,
+) -> CacheRead<PreresStream> {
     let path = path_for(store_dir, job);
     if !path.exists() {
         // Rename-based migration from the flat pre-sharding path.
@@ -392,86 +421,33 @@ pub fn open_stream_checked(store_dir: &Path, job: &Job) -> CacheRead<PreresStrea
     let Ok(mut file) = File::open(&path) else {
         return CacheRead::Miss;
     };
-    let Ok(file_len) = file.metadata().map(|m| m.len()) else {
-        return CacheRead::Miss;
-    };
-
-    let min_len = 12 + FOOTER_BYTES;
-    if file_len < min_len {
-        // Too short to carry a header: ours-but-cut is corruption, a
-        // foreign prefix is staleness.
-        let mut prefix = vec![0u8; file_len.min(8) as usize];
-        if read_exact_at(&mut file, 0, &mut prefix).is_err() {
-            return CacheRead::Miss;
-        }
-        return if !prefix.is_empty() && prefix.starts_with(&MAGIC[..prefix.len().min(8)]) {
-            quarantine(path, "truncated header".into())
-        } else {
-            CacheRead::Miss
-        };
-    }
-
-    let mut head_fixed = [0u8; 12];
-    if read_exact_at(&mut file, 0, &mut head_fixed).is_err() {
-        return CacheRead::Miss;
-    }
-    if &head_fixed[0..8] != MAGIC {
-        // An older format revision (e.g. the single-blob "EBCPPRE2")
-        // is staleness, not corruption: plain miss, overwritten on save.
-        return CacheRead::Miss;
-    }
-    let canon_len = u64::from(u32::from_le_bytes(
-        head_fixed[8..12].try_into().expect("4-byte window"),
-    ));
-    let payload_base = 12 + canon_len;
-    if payload_base + FOOTER_BYTES > file_len {
-        return quarantine(
+    match verify(&mut file, job, decoded) {
+        Ok((payload_base, footer, index)) => CacheRead::Hit(PreresStream {
+            file,
             path,
-            format!("canon length {canon_len} overruns the {file_len}-byte file"),
-        );
+            payload_base,
+            records: footer.records,
+            seg_records: footer.seg_records,
+            index,
+            buf: Vec::new(),
+        }),
+        // Older format revisions, hash collisions and unreadable files
+        // are plain misses, overwritten on save.
+        Err(SegfileError::Stale | SegfileError::Io(_)) => CacheRead::Miss,
+        Err(SegfileError::Corrupt(reason)) => quarantine(path, reason),
     }
+}
 
-    let mut footer = [0u8; FOOTER_BYTES as usize];
-    if read_exact_at(&mut file, file_len - FOOTER_BYTES, &mut footer).is_err() {
-        return CacheRead::Miss;
-    }
-    if fnv1a64(&footer[0..40]) != le_u64(&footer, 40) {
-        return quarantine(path, "footer checksum mismatch".into());
-    }
-    let records = le_u64(&footer, 0);
-    let seg_records = le_u64(&footer, 8);
-    let n_segs = le_u64(&footer, 16);
-    let index_checksum = le_u64(&footer, 24);
-    let head_checksum = le_u64(&footer, 32);
-
-    let mut head = vec![0u8; payload_base as usize];
-    if read_exact_at(&mut file, 0, &mut head).is_err() {
-        return CacheRead::Miss;
-    }
-    if fnv1a64(&head) != head_checksum {
-        return quarantine(path, "header checksum mismatch".into());
-    }
-    if head[12..] != *pre_canonical(&job.spec).as_bytes() {
-        // Collision guard: a valid stream for a *different* spec.
-        return CacheRead::Miss;
-    }
-
-    if n_segs > file_len / INDEX_ENTRY_BYTES {
-        return quarantine(path, format!("implausible segment count {n_segs}"));
-    }
-    let index_len = n_segs * INDEX_ENTRY_BYTES;
-    if payload_base + index_len + FOOTER_BYTES > file_len {
-        return quarantine(path, "index overruns the file".into());
-    }
-    let index_base = file_len - FOOTER_BYTES - index_len;
-    let mut index_bytes = vec![0u8; index_len as usize];
-    if read_exact_at(&mut file, index_base, &mut index_bytes).is_err() {
-        return CacheRead::Miss;
-    }
-    if fnv1a64(&index_bytes) != index_checksum {
-        return quarantine(path, "index checksum mismatch".into());
-    }
-    let mut index = Vec::with_capacity(n_segs as usize);
+fn verify(
+    file: &mut File,
+    job: &Job,
+    decoded: Option<&mut Vec<PreEvent>>,
+) -> Result<(u64, Footer, Vec<SegEntry>), SegfileError> {
+    let corrupt = |why: String| Err(SegfileError::Corrupt(why));
+    let frame = open_frame(file, MAGIC, pre_canonical(&job.spec).as_bytes())?;
+    let index_bytes = frame.read_index(file, INDEX_ENTRY_BYTES)?;
+    let mut index = Vec::with_capacity(index_bytes.len() / INDEX_ENTRY_BYTES as usize);
+    let mut checksums = Vec::with_capacity(index.capacity());
     let mut byte_off = 0u64;
     let mut rec_sum = 0u64;
     for entry in index_bytes.chunks_exact(INDEX_ENTRY_BYTES as usize) {
@@ -482,52 +458,75 @@ pub fn open_stream_checked(store_dir: &Path, job: &Job) -> CacheRead<PreresStrea
             records,
             byte_off,
         });
-        byte_off += n_events * EVENT_BYTES;
-        rec_sum += records;
+        checksums.push(le_u64(entry, 16));
+        // Saturating: an absurd count still fails the length check.
+        byte_off = byte_off.saturating_add(n_events.saturating_mul(EVENT_BYTES));
+        rec_sum = rec_sum.saturating_add(records);
     }
-    if payload_base + byte_off != index_base {
-        return quarantine(
-            path,
-            format!(
-                "payload length {} disagrees with header event count {}",
-                index_base - payload_base,
-                byte_off / EVENT_BYTES
-            ),
-        );
+    let payload_len = frame.index_base(INDEX_ENTRY_BYTES) - frame.payload_base;
+    if byte_off != payload_len {
+        return corrupt(format!(
+            "payload length {payload_len} disagrees with header event count {}",
+            byte_off / EVENT_BYTES
+        ));
     }
-    if rec_sum != records {
-        return quarantine(
-            path,
-            format!("index sums to {rec_sum} records, footer claims {records}"),
-        );
-    }
-
-    // Eager integrity pass: verify every segment checksum now with one
-    // reusable O(segment) buffer, so block reads during replay can
-    // skip re-hashing.
-    let mut buf = Vec::new();
-    for (k, (seg, entry)) in index
-        .iter()
-        .zip(index_bytes.chunks_exact(INDEX_ENTRY_BYTES as usize))
-        .enumerate()
-    {
-        buf.resize((seg.n_events * EVENT_BYTES) as usize, 0);
-        if read_exact_at(&mut file, payload_base + seg.byte_off, &mut buf).is_err() {
-            return CacheRead::Miss;
-        }
-        if fnv1a64(&buf) != le_u64(entry, 16) {
-            return quarantine(path, format!("segment {k} checksum mismatch"));
-        }
+    if rec_sum != frame.footer.records {
+        return corrupt(format!(
+            "index sums to {rec_sum} records, footer claims {}",
+            frame.footer.records
+        ));
     }
 
-    CacheRead::Hit(PreresStream {
+    // Eager integrity pass: checksums, event kinds and per-segment
+    // record sums, so block reads during replay skip re-verification.
+    // The length check above bounds `decoded`'s reservation by the file.
+    let mut decoded = decoded;
+    if let Some(out) = decoded.as_deref_mut() {
+        out.reserve_exact((payload_len / EVENT_BYTES) as usize);
+    }
+    let mut seg_sums = vec![0u64; index.len()];
+    let mut events = Vec::new();
+    verify_payload(
         file,
-        path,
-        payload_base,
-        records,
-        seg_records,
-        index,
-    })
+        frame.payload_base,
+        index
+            .iter()
+            .zip(&checksums)
+            .map(|(s, &sum)| (s.n_events * EVENT_BYTES, sum)),
+        EVENT_BYTES as usize,
+        |k, piece| {
+            let out = match decoded.as_deref_mut() {
+                Some(out) => out,
+                None => {
+                    events.clear();
+                    &mut events
+                }
+            };
+            let from = out.len();
+            decode_events(piece, out);
+            let piece_events = &out[from..];
+            if let Some(bad) = piece_events.iter().find(|ev| !ev.kind_in_range()) {
+                return Err(format!("segment {k} holds event flags {:#x}", bad.flags));
+            }
+            seg_sums[k] = piece_events
+                .iter()
+                .fold(seg_sums[k], |sum, ev| sum.saturating_add(ev.records()));
+            Ok(())
+        },
+    )?;
+    for (k, (seg, &got)) in index.iter().zip(&seg_sums).enumerate() {
+        if got != seg.records {
+            return corrupt(format!(
+                "segment {k} events stand for {got} records, index claims {}",
+                seg.records
+            ));
+        }
+    }
+    Ok((frame.payload_base, frame.footer, index))
+}
+
+fn le_u64(buf: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(buf[at..at + 8].try_into().expect("8-byte window"))
 }
 
 /// Loads a cached stream for `job`, or `None` on any miss, mismatch or
@@ -541,27 +540,18 @@ pub fn load(store_dir: &Path, job: &Job) -> Option<PreResolved> {
 /// a *corrupt* file, which is quarantined (renamed to `*.corrupt`) so
 /// the caller can log it and transparently re-resolve.
 ///
-/// Concatenates every segment — materialized-memory semantics for the
-/// quick tier; the large tier uses [`open_stream_checked`] +
-/// [`PreresStream::blocks`] instead.
+/// Verifies and decodes every segment in one read — materialized-memory
+/// semantics for the quick tier; the large tier uses
+/// [`open_stream_checked`] + [`PreresStream::blocks`] instead.
 pub fn load_checked(store_dir: &Path, job: &Job) -> CacheRead<PreResolved> {
-    match open_stream_checked(store_dir, job) {
-        CacheRead::Hit(mut stream) => {
-            let total: u64 = stream.index.iter().map(|s| s.n_events).sum();
-            let mut events = Vec::with_capacity(usize::try_from(total).unwrap_or(0));
-            for k in 0..stream.n_segments() {
-                match stream.block(k) {
-                    Ok(b) => events.extend_from_slice(&b.events),
-                    Err(_) => return CacheRead::Miss,
-                }
-            }
-            CacheRead::Hit(PreResolved {
-                events,
-                records: stream.records,
-                l1i: job.spec.sim.l1i,
-                l1d: job.spec.sim.l1d,
-            })
-        }
+    let mut events = Vec::new();
+    match open_checked(store_dir, job, Some(&mut events)) {
+        CacheRead::Hit(stream) => CacheRead::Hit(PreResolved {
+            events,
+            records: stream.records,
+            l1i: job.spec.sim.l1i,
+            l1d: job.spec.sim.l1d,
+        }),
         CacheRead::Miss => CacheRead::Miss,
         CacheRead::Quarantined { path, reason } => CacheRead::Quarantined { path, reason },
     }
@@ -571,6 +561,7 @@ pub fn load_checked(store_dir: &Path, job: &Job) -> CacheRead<PreResolved> {
 mod tests {
     use super::*;
     use ebcp_sim::{PrefetcherSpec, SimConfig};
+    use ebcp_trace::segfile::FOOTER_BYTES;
     use ebcp_trace::WorkloadSpec;
 
     fn job() -> Job {
@@ -685,11 +676,91 @@ mod tests {
         let j = job();
         save(&dir, &j, &j.spec.pre_resolve()).unwrap();
         let p = path_for(&dir, &j);
+        let clean = std::fs::read(&p).unwrap();
+        for old in [b"EBCPPRE2", b"EBCPPRE3"] {
+            let mut bytes = clean.clone();
+            bytes[..8].copy_from_slice(old);
+            std::fs::write(&p, &bytes).unwrap();
+            assert!(matches!(load_checked(&dir, &j), CacheRead::Miss));
+            assert!(matches!(open_stream_checked(&dir, &j), CacheRead::Miss));
+            assert!(p.exists(), "stale formats are overwritten, not quarantined");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Writes `j`'s stream as 4,000-record segments, applies `edit` to
+    /// the file bytes (payload base given), re-seals it, and returns
+    /// the clean stream.
+    fn crafted(dir: &Path, j: &Job, edit: impl FnOnce(&mut Vec<u8>, usize)) -> PreResolved {
+        let pre = j.spec.pre_resolve();
+        let mut w = PreresWriter::create(dir, j, 4_000).unwrap();
+        for b in ebcp_sim::segment_events(&pre, 4_000) {
+            w.push_block(&b.events, b.records).unwrap();
+        }
+        w.finish().unwrap();
+        let p = path_for(dir, j);
         let mut bytes = std::fs::read(&p).unwrap();
-        bytes[..8].copy_from_slice(b"EBCPPRE2");
+        let base = 12 + pre_canonical(&j.spec).len();
+        edit(&mut bytes, base);
+        crate::tests::reseal(
+            &mut bytes,
+            base,
+            INDEX_ENTRY_BYTES as usize,
+            EVENT_BYTES as usize,
+        );
         std::fs::write(&p, &bytes).unwrap();
-        assert!(load_checked(&dir, &j).into_hit().is_none());
-        assert!(p.exists(), "stale formats are overwritten, not quarantined");
+        pre
+    }
+
+    #[test]
+    fn checksum_valid_bad_kind_is_quarantined() {
+        let dir = tmpdir("badkind");
+        let j = job();
+        // Event 3's flags: kind 7, one past K_MISPREDICT.
+        let bad_kind = |bytes: &mut Vec<u8>, base: usize| {
+            let at = base + 3 * EVENT_BYTES as usize + 20;
+            bytes[at..at + 4].copy_from_slice(&(7u32 << 1).to_le_bytes());
+        };
+        let pre = crafted(&dir, &j, bad_kind);
+        expect_quarantined(open_stream_checked(&dir, &j), "event flags 0xe");
+        crafted(&dir, &j, bad_kind);
+        expect_quarantined(load_checked(&dir, &j), "event flags 0xe");
+        // Self-heal: the rewritten stream loads.
+        save(&dir, &j, &pre).unwrap();
+        assert_eq!(load(&dir, &j), Some(pre));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checksum_valid_wrong_record_sum_is_quarantined() {
+        // Move one record from segment 0's claim to segment 1's: the
+        // index still sums to the footer's total, the checksums are
+        // valid, and only the per-segment event sum disagrees.
+        let dir = tmpdir("recsum");
+        let j = job();
+        crafted(&dir, &j, |bytes, _| {
+            let n = bytes.len();
+            let footer = Footer::decode(bytes[n - FOOTER_BYTES..].try_into().unwrap()).unwrap();
+            let index_base = n - FOOTER_BYTES - footer.n_segs as usize * INDEX_ENTRY_BYTES as usize;
+            let r0 = le_u64(bytes, index_base + 8);
+            let r1 = le_u64(bytes, index_base + 24 + 8);
+            bytes[index_base + 8..index_base + 16].copy_from_slice(&(r0 - 1).to_le_bytes());
+            bytes[index_base + 32..index_base + 40].copy_from_slice(&(r1 + 1).to_le_bytes());
+        });
+        expect_quarantined(open_stream_checked(&dir, &j), "segment 0 events stand for");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn dropped_writer_leaves_no_tmp_file() {
+        let dir = tmpdir("dropwriter");
+        let j = job();
+        let pre = j.spec.pre_resolve();
+        let mut w = PreresWriter::create(&dir, &j, 4_000).unwrap();
+        w.push_block(&pre.events[..10], 10).unwrap();
+        drop(w);
+        let shard = path_for(&dir, &j).parent().unwrap().to_path_buf();
+        assert_eq!(std::fs::read_dir(&shard).unwrap().count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -801,7 +872,7 @@ mod tests {
         save(&dir, &j, &j.spec.pre_resolve()).unwrap();
         let p = path_for(&dir, &j);
         let bytes = std::fs::read(&p).unwrap();
-        let cut = bytes.len() - (FOOTER_BYTES + INDEX_ENTRY_BYTES) as usize;
+        let cut = bytes.len() - FOOTER_BYTES - INDEX_ENTRY_BYTES as usize;
         let mut crafted = bytes[..cut].to_vec();
         crafted.extend_from_slice(&[0u8; EVENT_BYTES as usize]); // phantom event
         crafted.extend_from_slice(&bytes[cut..]);

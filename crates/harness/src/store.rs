@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ebcp_mem::{BusStats, MemStats};
 use ebcp_sim::{CmpResult, SimResult};
+use ebcp_trace::segfile::{Footer, FOOTER_BYTES};
 
 use crate::job::fnv1a64;
 use crate::json::{self, Value};
@@ -344,27 +345,20 @@ impl StoreFootprint {
     }
 }
 
-/// Segment count from the 48-byte checksummed footer shared by the
-/// segmented trace and pre-resolved stream formats (`n_segs` at offset
-/// 16, self-checksum over the first 40 bytes at offset 40). `None` when
-/// the file is too short or the footer does not verify — the scan then
+/// Segment count from the checksummed [`Footer`] shared by the
+/// segmented trace and pre-resolved stream formats. `None` when the
+/// file is too short or the footer does not verify — the scan then
 /// counts the file's bytes but no segments, without quarantining
 /// (footprint reporting is read-only).
 fn footer_segments(path: &Path) -> Option<u64> {
     use std::io::{Read, Seek, SeekFrom};
     let mut f = fs::File::open(path).ok()?;
     let len = f.metadata().ok()?.len();
-    if len < 48 {
-        return None;
-    }
-    let mut footer = [0u8; 48];
-    f.seek(SeekFrom::Start(len - 48)).ok()?;
+    let mut footer = [0u8; FOOTER_BYTES];
+    f.seek(SeekFrom::Start(len.checked_sub(FOOTER_BYTES as u64)?))
+        .ok()?;
     f.read_exact(&mut footer).ok()?;
-    let stored = u64::from_le_bytes(footer[40..48].try_into().ok()?);
-    if fnv1a64(&footer[0..40]) != stored {
-        return None;
-    }
-    Some(u64::from_le_bytes(footer[16..24].try_into().ok()?))
+    Footer::decode(&footer).map(|f| f.n_segs)
 }
 
 /// Scans one class directory tree, tallying files with `suffix` (and

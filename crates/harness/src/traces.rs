@@ -21,7 +21,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use ebcp_sim::{Engine, RunSpec};
-use ebcp_trace::{Backing, SegfileError, SegmentedTrace, TraceGenerator, TraceSink};
+use ebcp_trace::{
+    Backing, ChunkSource, SegfileError, SegmentedTrace, TraceGenerator, TraceRecord, TraceSink,
+};
 
 use crate::job::{fnv1a64, CANON_VERSION};
 use crate::store::{quarantine, CacheRead};
@@ -50,40 +52,169 @@ pub fn path_for(store_dir: &Path, spec: &RunSpec) -> PathBuf {
     store_dir.join("traces").join(&name[..2]).join(name)
 }
 
+/// `spec`'s trace as a [`ChunkSource`]: the stored file when it
+/// verifies, otherwise generated on the fly while every delivered chunk
+/// is also written to the store. A consumer therefore reads each record
+/// once whether the store was warm or cold; [`StoredTrace::finish`]
+/// then publishes and verifies the file.
+///
+/// Delivers exactly `warmup_insts + measure_insts` records.
+pub struct StoredTrace {
+    path: PathBuf,
+    meta: String,
+    backing: Backing,
+    state: State,
+}
+
+enum State {
+    Stored(SegmentedTrace),
+    Writing {
+        gen: Box<TraceGenerator>,
+        sink: TraceSink,
+        left: u64,
+        /// The first write failure, surfaced by `finish`: generated
+        /// records stay correct whatever the disk does.
+        error: Option<io::Error>,
+    },
+}
+
+impl StoredTrace {
+    /// Opens `spec`'s stored trace, or starts generating and writing
+    /// it: a missing or stale file is rewritten in place; a corrupt
+    /// file is quarantined — reported through `on_quarantine` — and
+    /// rewritten (self-heal).
+    ///
+    /// # Errors
+    ///
+    /// Propagates file-system failures starting the write.
+    pub fn open(
+        store_dir: &Path,
+        spec: &RunSpec,
+        seg_records: u64,
+        backing: Backing,
+        mut on_quarantine: impl FnMut(PathBuf, String),
+    ) -> io::Result<StoredTrace> {
+        let path = path_for(store_dir, spec);
+        let meta = trace_canonical(spec);
+        match SegmentedTrace::open(&path, meta.as_bytes(), backing) {
+            Ok(trace) => {
+                return Ok(StoredTrace {
+                    path,
+                    meta,
+                    backing,
+                    state: State::Stored(trace),
+                })
+            }
+            Err(SegfileError::Corrupt(reason)) => {
+                if let CacheRead::Quarantined { path, reason } = quarantine::<()>(path, reason) {
+                    on_quarantine(path, reason);
+                }
+            }
+            // Stale, missing or unreadable: rewrite over the top.
+            Err(SegfileError::Stale | SegfileError::Io(_)) => {}
+        }
+        StoredTrace::writing(store_dir, spec, seg_records, backing)
+    }
+
+    /// Starts generating `spec`'s trace into the store, whatever it
+    /// holds. Publication is atomic — temp file + rename — so
+    /// concurrent generators race benignly.
+    fn writing(
+        store_dir: &Path,
+        spec: &RunSpec,
+        seg_records: u64,
+        backing: Backing,
+    ) -> io::Result<StoredTrace> {
+        let path = path_for(store_dir, spec);
+        if let Some(parent) = path.parent() {
+            std::fs::create_dir_all(parent)?;
+        }
+        let meta = trace_canonical(spec);
+        let sink = TraceSink::create(&path, meta.as_bytes(), seg_records)?;
+        Ok(StoredTrace {
+            path,
+            meta,
+            backing,
+            state: State::Writing {
+                gen: Box::new(TraceGenerator::new(&spec.workload, spec.seed)),
+                sink,
+                left: spec.warmup_insts + spec.measure_insts,
+                error: None,
+            },
+        })
+    }
+
+    /// The verified stored trace, positioned at its start. A trace
+    /// still being written is first completed (records nobody consumed
+    /// are generated and written now), published, and verified with
+    /// [`SegmentedTrace::open`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates write failures, and a freshly written trace that
+    /// fails to verify (an environment fault).
+    pub fn finish(mut self) -> io::Result<SegmentedTrace> {
+        if matches!(self.state, State::Writing { .. }) {
+            let mut chunk = Vec::with_capacity(Engine::CHUNK_RECORDS);
+            while self.next_chunk(&mut chunk, Engine::CHUNK_RECORDS) > 0 {}
+        }
+        match self.state {
+            State::Stored(mut trace) => {
+                trace.seek_segment(0);
+                Ok(trace)
+            }
+            State::Writing { sink, error, .. } => {
+                if let Some(e) = error {
+                    return Err(e);
+                }
+                sink.finish()?;
+                SegmentedTrace::open(&self.path, self.meta.as_bytes(), self.backing).map_err(|e| {
+                    io::Error::other(format!(
+                        "freshly generated trace {} failed to verify: {e}",
+                        self.path.display()
+                    ))
+                })
+            }
+        }
+    }
+}
+
+impl ChunkSource for StoredTrace {
+    fn next_chunk(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
+        match &mut self.state {
+            State::Stored(trace) => trace.next_chunk(out, max),
+            State::Writing {
+                gen,
+                sink,
+                left,
+                error,
+            } => {
+                let want = (max as u64).min(*left) as usize;
+                let got = TraceGenerator::next_chunk(gen, out, want);
+                if error.is_none() {
+                    *error = sink.push_chunk(out).err();
+                }
+                *left -= got as u64;
+                got
+            }
+        }
+    }
+}
+
 /// Generates `spec`'s trace into the store in one streaming pass
-/// (chunked generation feeding [`TraceSink`]; nothing materialized) and
-/// returns the record count written. Publication is atomic — temp file
-/// + rename — so concurrent generators race benignly.
+/// (chunked generation feeding [`TraceSink`]; nothing materialized),
+/// verifies it, and returns the record count written.
 ///
 /// # Errors
 ///
-/// Propagates file-system failures.
+/// Propagates file-system failures and a trace that fails to verify.
 pub fn generate(store_dir: &Path, spec: &RunSpec, seg_records: u64) -> io::Result<u64> {
-    let path = path_for(store_dir, spec);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let meta = trace_canonical(spec);
-    let mut sink = TraceSink::create(&path, meta.as_bytes(), seg_records)?;
-    let mut gen = TraceGenerator::new(&spec.workload, spec.seed);
-    let mut chunk = Vec::with_capacity(Engine::CHUNK_RECORDS);
-    let mut left = spec.warmup_insts + spec.measure_insts;
-    while left > 0 {
-        let want = (Engine::CHUNK_RECORDS as u64).min(left) as usize;
-        let got = gen.next_chunk(&mut chunk, want);
-        if got == 0 {
-            break;
-        }
-        sink.push_chunk(&chunk)?;
-        left -= got as u64;
-    }
-    sink.finish()
+    let trace = StoredTrace::writing(store_dir, spec, seg_records, Backing::Buffered)?.finish()?;
+    Ok(trace.records())
 }
 
 /// Opens `spec`'s stored trace for zero-copy replay, generating (or
-/// regenerating) it as needed: a missing or stale file is written in
-/// place; a corrupt file is quarantined — reported through
-/// `on_quarantine` — and regenerated (self-heal). At most one
+/// regenerating) it as needed — see [`StoredTrace::open`]. At most one
 /// regeneration is attempted; a file that fails to verify immediately
 /// after being written is an environment fault and surfaces as an
 /// error.
@@ -97,42 +228,16 @@ pub fn open_or_generate(
     spec: &RunSpec,
     seg_records: u64,
     backing: Backing,
-    mut on_quarantine: impl FnMut(PathBuf, String),
+    on_quarantine: impl FnMut(PathBuf, String),
 ) -> io::Result<SegmentedTrace> {
-    let path = path_for(store_dir, spec);
-    let meta = trace_canonical(spec);
-    let mut regenerated = false;
-    loop {
-        match SegmentedTrace::open(&path, meta.as_bytes(), backing) {
-            Ok(t) => return Ok(t),
-            Err(e) => {
-                if regenerated {
-                    return Err(io::Error::other(format!(
-                        "freshly generated trace {} failed to verify: {e}",
-                        path.display()
-                    )));
-                }
-                if let SegfileError::Corrupt(reason) = &e {
-                    if let CacheRead::Quarantined { path, reason } =
-                        quarantine::<()>(path.clone(), reason.clone())
-                    {
-                        on_quarantine(path, reason);
-                    }
-                }
-                // Stale, corrupt (now moved aside), missing, or
-                // unreadable: regenerate over the top.
-                generate(store_dir, spec, seg_records)?;
-                regenerated = true;
-            }
-        }
-    }
+    StoredTrace::open(store_dir, spec, seg_records, backing, on_quarantine)?.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ebcp_sim::SimConfig;
-    use ebcp_trace::{ChunkSource, TraceRecord, WorkloadSpec};
+    use ebcp_trace::WorkloadSpec;
 
     fn spec() -> RunSpec {
         RunSpec {
@@ -172,6 +277,32 @@ mod tests {
         let from_store = collect_all(&mut seg);
         let direct = TraceGenerator::new(&s.workload, s.seed).collect_n(from_store.len());
         assert_eq!(from_store, direct);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cold_trace_streams_while_writing_and_finish_completes_it() {
+        let dir = tmpdir("streaming");
+        let s = spec();
+        let mut src = StoredTrace::open(&dir, &s, 1_000, Backing::Mmap, |_, _| {
+            panic!("fresh store cannot quarantine")
+        })
+        .unwrap();
+        let mut head = Vec::new();
+        assert_eq!(src.next_chunk(&mut head, 2_500), 2_500);
+        let direct = TraceGenerator::new(&s.workload, s.seed).collect_n(12_000);
+        assert_eq!(head, direct[..2_500]);
+        // Nothing is published until finish, which writes the records
+        // nobody consumed and verifies the file.
+        assert!(!path_for(&dir, &s).exists());
+        let mut seg = src.finish().unwrap();
+        assert_eq!(collect_all(&mut seg), direct);
+        // Warm: the same type now serves the stored file.
+        let mut warm = StoredTrace::open(&dir, &s, 1_000, Backing::Mmap, |_, _| {
+            panic!("valid file must not be quarantined")
+        })
+        .unwrap();
+        assert_eq!(collect_all(&mut warm), direct);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -267,13 +267,20 @@ impl PreEvent {
             K_STORE_HIT => ResolvedOp::StoreHit { line },
             K_SERIALIZE => ResolvedOp::Serialize,
             K_MISPREDICT => ResolvedOp::Mispredict,
-            other => unreachable!("corrupt PreEvent kind {other}"),
+            other => unreachable!("PreEvent kind {other} is out of range"),
         };
         Some(Resolved {
             pc: Pc::new(self.pc),
             ifetch_miss: self.flags & F_IFETCH_MISS != 0,
             op,
         })
+    }
+
+    /// Whether the packed kind is one [`PreEvent::decode`] knows. Readers
+    /// of cached streams check this before any event reaches `decode`.
+    #[inline]
+    pub fn kind_in_range(&self) -> bool {
+        self.flags >> K_SHIFT <= K_MISPREDICT
     }
 
     /// Trace records this entry stands for (`gap` + the event itself).

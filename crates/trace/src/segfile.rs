@@ -9,7 +9,7 @@
 //! DESIGN.md §3f) instead of the whole trace.
 //!
 //! ```text
-//! magic "EBCPSEG1"   (8 bytes)
+//! magic "EBCPSEG2"   (8 bytes)
 //! meta_len           (u32 LE)
 //! meta               (meta_len bytes; caller-defined collision guard,
 //!                     e.g. the canonical workload/seed string)
@@ -19,30 +19,35 @@
 //!     pc    (u64)
 //!     addr  (u64; 0 for ops without a data address)
 //! index              n_segs x { records u64, checksum u64 }
-//!                    (checksum = FNV-1a 64 over that segment's payload)
-//! footer (48 bytes): records u64 | seg_records u64 | n_segs u64
-//!                  | index_checksum u64        (FNV-1a over the index)
-//!                  | head_checksum u64         (FNV-1a over magic..meta)
-//!                  | footer_checksum u64       (FNV-1a over the 40
-//!                                               preceding footer bytes)
+//!                    (checksum = XXH64 over that segment's payload)
+//! footer (48 bytes): see [`Footer`]
 //! ```
+//!
+//! Every checksum is streaming XXH64 with seed 0
+//! ([`ebcp_types::checksum`]); version 1 ("EBCPSEG1") used byte-serial
+//! FNV-1a and now reads as stale.
 //!
 //! The index and totals live in a *footer* so [`TraceSink`] can stream
 //! the payload in a single pass without knowing the record count up
-//! front. Failure semantics follow the PR 5 cache discipline:
+//! front. The framing — magic, meta, index before a self-checksummed
+//! [`Footer`] — is shared with the harness's pre-resolved stream files
+//! ([`open_frame`], [`Frame::read_index`], [`verify_payload`]). Failure
+//! semantics follow the result store's cache discipline:
 //!
 //! * wrong magic, or a verified header whose meta differs from the
 //!   caller's expectation → [`SegfileError::Stale`] (a plain cache miss:
 //!   regenerate and overwrite);
-//! * any checksum/length disagreement → [`SegfileError::Corrupt`]
-//!   (callers quarantine the file as `*.corrupt` and regenerate).
+//! * any checksum/length disagreement, or a record tag out of range →
+//!   [`SegfileError::Corrupt`] (callers quarantine the file as
+//!   `*.corrupt` and regenerate).
 //!
-//! [`SegmentedTrace::open`] verifies the header, index, footer **and
-//! every segment checksum** in one sequential O(segment)-memory pass, so
-//! corruption is surfaced at open time (where the quarantine/regenerate
-//! machinery lives), and windows loaded during replay can skip
-//! re-verification. The cost is one extra sequential read of the file
-//! per open; replay itself stays zero-copy under the mmap backing.
+//! [`SegmentedTrace::open`] verifies the header, index, footer, **every
+//! segment checksum and every record tag** in one sequential pass
+//! through a fixed [`VERIFY_BUF_BYTES`] buffer, so corruption is
+//! surfaced at open time (where the quarantine/regenerate machinery
+//! lives), and windows loaded during replay can skip re-verification.
+//! The cost is one extra sequential read of the file per open; replay
+//! itself stays zero-copy under the mmap backing.
 
 use std::fmt;
 use std::fs::File;
@@ -50,55 +55,22 @@ use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ebcp_types::checksum::{checksum64, Checksum64};
 use ebcp_types::{Addr, Pc};
 
 use crate::record::{Op, TraceRecord};
 
-/// Magic prefix of the segmented trace format, version 1.
-pub const SEG_MAGIC: &[u8; 8] = b"EBCPSEG1";
+/// Magic prefix of the segmented trace format, version 2.
+pub const SEG_MAGIC: &[u8; 8] = b"EBCPSEG2";
 /// Fixed width of one encoded record.
 pub const RECORD_BYTES: usize = 17;
 /// Width of one index entry (`records u64 | checksum u64`).
 pub const INDEX_ENTRY_BYTES: usize = 16;
 /// Width of the trailing footer.
 pub const FOOTER_BYTES: usize = 48;
-
-// ---------------------------------------------------------------------------
-// FNV-1a 64 (local copy: this crate sits below the harness, which owns the
-// canonical implementation; the constants are part of the on-disk format).
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// Incremental FNV-1a 64 state, so the writer can hash a segment while
-/// streaming it out and the reader can hash windows as they are walked.
-#[derive(Clone, Copy, Debug)]
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(FNV_OFFSET)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(bytes);
-    h.finish()
-}
+/// Size of the one reusable buffer the open-time verify passes read
+/// through (rounded down to a whole number of records or events).
+pub const VERIFY_BUF_BYTES: usize = 1 << 20;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -142,6 +114,279 @@ impl From<io::Error> for SegfileError {
 }
 
 // ---------------------------------------------------------------------------
+// Framing shared with the pre-resolved stream format
+
+fn le_u64(buf: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(buf[at..at + 8].try_into().expect("8-byte window"))
+}
+
+fn read_exact_at(file: &mut File, pos: u64, buf: &mut [u8]) -> io::Result<()> {
+    file.seek(SeekFrom::Start(pos))?;
+    file.read_exact(buf)
+}
+
+/// The 48-byte trailer of every segmented file (traces here, and the
+/// harness's pre-resolved streams):
+///
+/// ```text
+/// records u64 | seg_records u64 | n_segs u64
+/// | index_checksum u64   (over the index)
+/// | head_checksum u64    (over magic..meta)
+/// | footer_checksum u64  (over the 40 preceding footer bytes)
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Footer {
+    /// Total records the file stands for.
+    pub records: u64,
+    /// The writer's nominal segment length in records.
+    pub seg_records: u64,
+    /// Index entries.
+    pub n_segs: u64,
+    /// Checksum of the index bytes.
+    pub index_checksum: u64,
+    /// Checksum of the header (magic, meta length and meta).
+    pub head_checksum: u64,
+}
+
+impl Footer {
+    /// Encodes the footer, appending its self-checksum.
+    pub fn encode(&self) -> [u8; FOOTER_BYTES] {
+        let mut out = [0u8; FOOTER_BYTES];
+        let fields = [
+            self.records,
+            self.seg_records,
+            self.n_segs,
+            self.index_checksum,
+            self.head_checksum,
+        ];
+        for (slot, v) in out.chunks_exact_mut(8).zip(fields) {
+            slot.copy_from_slice(&v.to_le_bytes());
+        }
+        let own = checksum64(&out[..40]);
+        out[40..].copy_from_slice(&own.to_le_bytes());
+        out
+    }
+
+    /// Parses a footer, or `None` when its self-checksum does not
+    /// verify.
+    pub fn decode(bytes: &[u8; FOOTER_BYTES]) -> Option<Footer> {
+        (checksum64(&bytes[..40]) == le_u64(bytes, 40)).then(|| Footer {
+            records: le_u64(bytes, 0),
+            seg_records: le_u64(bytes, 8),
+            n_segs: le_u64(bytes, 16),
+            index_checksum: le_u64(bytes, 24),
+            head_checksum: le_u64(bytes, 32),
+        })
+    }
+}
+
+/// Encodes the header of a segmented file: `magic`, the meta length
+/// and `meta`.
+///
+/// # Panics
+///
+/// Panics if `meta` exceeds `u32::MAX` bytes.
+pub fn encode_head(magic: &[u8; 8], meta: &[u8]) -> Vec<u8> {
+    let meta_len = u32::try_from(meta.len()).expect("meta fits u32");
+    let mut head = Vec::with_capacity(12 + meta.len());
+    head.extend_from_slice(magic);
+    head.extend_from_slice(&meta_len.to_le_bytes());
+    head.extend_from_slice(meta);
+    head
+}
+
+/// The verified header and footer of an open segmented file.
+#[derive(Clone, Copy, Debug)]
+pub struct Frame {
+    /// File length in bytes.
+    pub file_len: u64,
+    /// Offset of the first payload byte (just past the meta).
+    pub payload_base: u64,
+    /// The verified footer.
+    pub footer: Footer,
+}
+
+/// Reads and verifies the framing every segmented format shares: the
+/// magic, the footer's self-checksum, the header checksum, and the
+/// meta against `expected_meta`.
+///
+/// # Errors
+///
+/// [`SegfileError::Stale`] for a foreign magic or a verified header
+/// carrying different meta; [`SegfileError::Corrupt`] for a truncated
+/// file or a checksum mismatch; [`SegfileError::Io`] for read failures.
+pub fn open_frame(
+    file: &mut File,
+    magic: &[u8; 8],
+    expected_meta: &[u8],
+) -> Result<Frame, SegfileError> {
+    let file_len = file.metadata()?.len();
+    let min_len = (12 + FOOTER_BYTES) as u64;
+    if file_len < min_len {
+        // Too short to even carry a header: if the prefix matches the
+        // magic it is a truncation (corrupt), otherwise foreign.
+        let mut prefix = vec![0u8; file_len.min(8) as usize];
+        read_exact_at(file, 0, &mut prefix)?;
+        return if !prefix.is_empty() && magic.starts_with(&prefix) {
+            Err(SegfileError::Corrupt(format!(
+                "file is {file_len} bytes, shorter than the {min_len}-byte minimum"
+            )))
+        } else {
+            Err(SegfileError::Stale)
+        };
+    }
+
+    let mut head_fixed = [0u8; 12];
+    read_exact_at(file, 0, &mut head_fixed)?;
+    if &head_fixed[0..8] != magic {
+        return Err(SegfileError::Stale);
+    }
+    let meta_len = u64::from(u32::from_le_bytes(
+        head_fixed[8..12].try_into().expect("4-byte window"),
+    ));
+    let payload_base = 12 + meta_len;
+    if payload_base + FOOTER_BYTES as u64 > file_len {
+        return Err(SegfileError::Corrupt(format!(
+            "meta length {meta_len} overruns the {file_len}-byte file"
+        )));
+    }
+
+    let mut footer = [0u8; FOOTER_BYTES];
+    read_exact_at(file, file_len - FOOTER_BYTES as u64, &mut footer)?;
+    let footer = Footer::decode(&footer)
+        .ok_or_else(|| SegfileError::Corrupt("footer checksum mismatch".into()))?;
+
+    let mut head = vec![0u8; payload_base as usize];
+    read_exact_at(file, 0, &mut head)?;
+    if checksum64(&head) != footer.head_checksum {
+        return Err(SegfileError::Corrupt("header checksum mismatch".into()));
+    }
+    if &head[12..] != expected_meta {
+        // Header verified intact but written for different contents:
+        // a stale/foreign entry, not damage.
+        return Err(SegfileError::Stale);
+    }
+    Ok(Frame {
+        file_len,
+        payload_base,
+        footer,
+    })
+}
+
+impl Frame {
+    /// Offset of the index: it sits between the payload and the footer.
+    pub fn index_base(&self, entry_bytes: u64) -> u64 {
+        self.file_len - FOOTER_BYTES as u64 - self.footer.n_segs * entry_bytes
+    }
+
+    /// Reads the `n_segs` index entries of `entry_bytes` each that sit
+    /// just before the footer, and verifies their checksum.
+    ///
+    /// # Errors
+    ///
+    /// [`SegfileError::Corrupt`] when the index cannot fit the file or
+    /// fails its checksum; [`SegfileError::Io`] for read failures.
+    pub fn read_index(&self, file: &mut File, entry_bytes: u64) -> Result<Vec<u8>, SegfileError> {
+        let n_segs = self.footer.n_segs;
+        if n_segs > self.file_len / entry_bytes {
+            return Err(SegfileError::Corrupt(format!(
+                "implausible segment count {n_segs}"
+            )));
+        }
+        let index_len = n_segs * entry_bytes;
+        if self.payload_base + index_len + FOOTER_BYTES as u64 > self.file_len {
+            return Err(SegfileError::Corrupt("index overruns the file".into()));
+        }
+        let mut index = vec![0u8; index_len as usize];
+        read_exact_at(file, self.index_base(entry_bytes), &mut index)?;
+        if checksum64(&index) != self.footer.index_checksum {
+            return Err(SegfileError::Corrupt("index checksum mismatch".into()));
+        }
+        Ok(index)
+    }
+}
+
+/// Reads `len` bytes from `start` through one reusable buffer of at
+/// most [`VERIFY_BUF_BYTES`], handing `f` pieces that each hold a whole
+/// number of `unit`-byte items.
+///
+/// # Errors
+///
+/// Propagates read failures and the first error `f` returns.
+///
+/// # Panics
+///
+/// Panics if `unit` is zero or exceeds [`VERIFY_BUF_BYTES`].
+pub fn read_pieces<E: From<io::Error>>(
+    file: &mut File,
+    start: u64,
+    len: u64,
+    unit: usize,
+    buf: &mut Vec<u8>,
+    mut f: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<(), E> {
+    assert!(
+        unit > 0 && unit <= VERIFY_BUF_BYTES,
+        "bad item width {unit}"
+    );
+    let cap = VERIFY_BUF_BYTES / unit * unit;
+    file.seek(SeekFrom::Start(start))?;
+    let mut left = len;
+    while left > 0 {
+        let n = usize::try_from(left).map_or(cap, |l| l.min(cap));
+        buf.resize(n, 0);
+        file.read_exact(buf)?;
+        f(buf)?;
+        left -= n as u64;
+    }
+    Ok(())
+}
+
+/// The open-time integrity pass of a segmented file: reads the payload
+/// sequentially from `start` through one fixed buffer, checking each
+/// segment `(bytes, checksum)` of `segs` against its checksum and
+/// handing every piece — a whole number of `unit`-byte items inside
+/// segment `k` — to `check(k, piece)` for structural checks or
+/// decoding. A checksum mismatch takes precedence over a structural
+/// complaint in the same segment, so random damage reports as such.
+///
+/// # Errors
+///
+/// [`SegfileError::Corrupt`] for a checksum mismatch or the first
+/// complaint of `check`; [`SegfileError::Io`] for read failures.
+pub fn verify_payload(
+    file: &mut File,
+    start: u64,
+    segs: impl IntoIterator<Item = (u64, u64)>,
+    unit: usize,
+    mut check: impl FnMut(usize, &[u8]) -> Result<(), String>,
+) -> Result<(), SegfileError> {
+    let mut buf = Vec::new();
+    let mut pos = start;
+    for (k, (bytes, checksum)) in segs.into_iter().enumerate() {
+        let mut hash = Checksum64::new();
+        let mut complaint = None;
+        read_pieces::<SegfileError>(file, pos, bytes, unit, &mut buf, |piece| {
+            hash.update(piece);
+            if complaint.is_none() {
+                complaint = check(k, piece).err();
+            }
+            Ok(())
+        })?;
+        if hash.finish() != checksum {
+            return Err(SegfileError::Corrupt(format!(
+                "segment {k} checksum mismatch"
+            )));
+        }
+        if let Some(why) = complaint {
+            return Err(SegfileError::Corrupt(why));
+        }
+        pos += bytes;
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
 // Record codec (fixed width)
 
 fn encode_record_fixed(out: &mut [u8; RECORD_BYTES], r: &TraceRecord) {
@@ -160,14 +405,16 @@ fn encode_record_fixed(out: &mut [u8; RECORD_BYTES], r: &TraceRecord) {
     out[9..17].copy_from_slice(&addr.to_le_bytes());
 }
 
-/// Decodes one fixed-width record. The payload was checksum-verified at
-/// open, so a bad tag here means writer-side corruption of our own
-/// making — the same trust boundary as a corrupt `PreEvent` kind — and
-/// panics rather than threading an error through the replay hot path.
+/// Highest valid record tag.
+const MAX_TAG: u8 = 6;
+
+/// Decodes one fixed-width record. [`SegmentedTrace::open`] checks every
+/// tag against [`MAX_TAG`] in its verify pass, so a bad tag here means
+/// the file changed under an open trace.
 fn decode_record_fixed(buf: &[u8]) -> TraceRecord {
     let tag = buf[0];
-    let pc = Pc::new(u64::from_le_bytes(buf[1..9].try_into().unwrap()));
-    let addr = u64::from_le_bytes(buf[9..17].try_into().unwrap());
+    let pc = Pc::new(le_u64(buf, 1));
+    let addr = le_u64(buf, 9);
     let op = match tag {
         0 => Op::Alu,
         1 | 2 => Op::Load {
@@ -181,7 +428,7 @@ fn decode_record_fixed(buf: &[u8]) -> TraceRecord {
             mispredicted: tag == 5,
         },
         6 => Op::Serialize,
-        t => unreachable!("corrupt segment record tag {t} after checksum verification"),
+        t => unreachable!("record tag {t} passed the open-time tag check"),
     };
     TraceRecord::new(pc, op)
 }
@@ -189,7 +436,7 @@ fn decode_record_fixed(buf: &[u8]) -> TraceRecord {
 // ---------------------------------------------------------------------------
 // Unique tmp names (pid + sequence, so concurrent writers never collide;
 // the final rename makes the publish atomic). Local copy of the harness
-// store discipline for the same reason as the hash above.
+// store discipline: this crate sits below the harness.
 
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -210,20 +457,24 @@ fn unique_tmp(path: &Path) -> PathBuf {
 /// Single-pass streaming writer: generators emit the trace **once**
 /// through this sink; every later replay comes from the file.
 ///
-/// Records stream through a buffered writer with a running per-segment
-/// FNV-1a state; [`TraceSink::finish`] closes the partial tail segment,
+/// Each chunk is encoded into one reusable buffer, hashed into the
+/// running per-segment checksum (split at segment boundaries) and
+/// written once; [`TraceSink::finish`] closes the partial tail segment,
 /// appends the index and footer, and atomically renames the tmp file
-/// into place.
+/// into place. A sink dropped without a successful `finish` removes its
+/// tmp file.
 pub struct TraceSink {
     w: BufWriter<File>,
     tmp: PathBuf,
     path: PathBuf,
+    published: bool,
     head_checksum: u64,
     seg_records: u64,
     records: u64,
     seg_fill: u64,
-    seg_hash: Fnv64,
+    seg_hash: Checksum64,
     index: Vec<(u64, u64)>,
+    buf: Vec<u8>,
 }
 
 impl TraceSink {
@@ -241,26 +492,23 @@ impl TraceSink {
     /// Panics if `seg_records` is zero or `meta` exceeds `u32::MAX`.
     pub fn create(path: &Path, meta: &[u8], seg_records: u64) -> io::Result<TraceSink> {
         assert!(seg_records > 0, "segment length must be at least 1 record");
-        let meta_len = u32::try_from(meta.len()).expect("meta fits u32");
+        let head = encode_head(SEG_MAGIC, meta);
         let tmp = unique_tmp(path);
-        let file = File::create(&tmp)?;
-        let mut w = BufWriter::new(file);
-        let mut head = Vec::with_capacity(12 + meta.len());
-        head.extend_from_slice(SEG_MAGIC);
-        head.extend_from_slice(&meta_len.to_le_bytes());
-        head.extend_from_slice(meta);
-        w.write_all(&head)?;
-        Ok(TraceSink {
-            w,
+        let mut sink = TraceSink {
+            w: BufWriter::new(File::create(&tmp)?),
             tmp,
             path: path.to_path_buf(),
-            head_checksum: fnv1a64(&head),
+            published: false,
+            head_checksum: checksum64(&head),
             seg_records,
             records: 0,
             seg_fill: 0,
-            seg_hash: Fnv64::new(),
+            seg_hash: Checksum64::new(),
             index: Vec::new(),
-        })
+            buf: Vec::new(),
+        };
+        sink.w.write_all(&head)?;
+        Ok(sink)
     }
 
     /// Appends one record.
@@ -269,16 +517,7 @@ impl TraceSink {
     ///
     /// Returns any underlying I/O failure.
     pub fn push(&mut self, r: &TraceRecord) -> io::Result<()> {
-        let mut buf = [0u8; RECORD_BYTES];
-        encode_record_fixed(&mut buf, r);
-        self.seg_hash.update(&buf);
-        self.w.write_all(&buf)?;
-        self.records += 1;
-        self.seg_fill += 1;
-        if self.seg_fill == self.seg_records {
-            self.close_segment();
-        }
-        Ok(())
+        self.push_chunk(std::slice::from_ref(r))
     }
 
     /// Appends a batch of records (e.g. one generator chunk).
@@ -287,16 +526,33 @@ impl TraceSink {
     ///
     /// Returns any underlying I/O failure.
     pub fn push_chunk(&mut self, rs: &[TraceRecord]) -> io::Result<()> {
-        for r in rs {
-            self.push(r)?;
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.resize(rs.len() * RECORD_BYTES, 0);
+        for (out, r) in buf.chunks_exact_mut(RECORD_BYTES).zip(rs) {
+            encode_record_fixed(out.try_into().expect("record-sized chunk"), r);
         }
-        Ok(())
+        let mut rest = &buf[..];
+        while !rest.is_empty() {
+            let room = self.seg_records - self.seg_fill;
+            let take = room.min((rest.len() / RECORD_BYTES) as u64);
+            let (seg, tail) = rest.split_at(take as usize * RECORD_BYTES);
+            self.seg_hash.update(seg);
+            self.seg_fill += take;
+            if self.seg_fill == self.seg_records {
+                self.close_segment();
+            }
+            rest = tail;
+        }
+        self.records += rs.len() as u64;
+        let written = self.w.write_all(&buf);
+        self.buf = buf;
+        written
     }
 
     fn close_segment(&mut self) {
         self.index.push((self.seg_fill, self.seg_hash.finish()));
         self.seg_fill = 0;
-        self.seg_hash = Fnv64::new();
+        self.seg_hash = Checksum64::new();
     }
 
     /// Records written so far.
@@ -320,24 +576,28 @@ impl TraceSink {
             index_bytes.extend_from_slice(&records.to_le_bytes());
             index_bytes.extend_from_slice(&checksum.to_le_bytes());
         }
-        let mut footer = Vec::with_capacity(FOOTER_BYTES);
-        footer.extend_from_slice(&self.records.to_le_bytes());
-        footer.extend_from_slice(&self.seg_records.to_le_bytes());
-        footer.extend_from_slice(&(self.index.len() as u64).to_le_bytes());
-        footer.extend_from_slice(&fnv1a64(&index_bytes).to_le_bytes());
-        footer.extend_from_slice(&self.head_checksum.to_le_bytes());
-        footer.extend_from_slice(&fnv1a64(&footer).to_le_bytes());
-        let publish = (|| -> io::Result<()> {
-            self.w.write_all(&index_bytes)?;
-            self.w.write_all(&footer)?;
-            self.w.flush()?;
-            self.w.get_ref().sync_all()?;
-            std::fs::rename(&self.tmp, &self.path)
-        })();
-        if publish.is_err() {
+        let footer = Footer {
+            records: self.records,
+            seg_records: self.seg_records,
+            n_segs: self.index.len() as u64,
+            index_checksum: checksum64(&index_bytes),
+            head_checksum: self.head_checksum,
+        };
+        self.w.write_all(&index_bytes)?;
+        self.w.write_all(&footer.encode())?;
+        self.w.flush()?;
+        self.w.get_ref().sync_all()?;
+        std::fs::rename(&self.tmp, &self.path)?;
+        self.published = true;
+        Ok(self.records)
+    }
+}
+
+impl Drop for TraceSink {
+    fn drop(&mut self) {
+        if !self.published {
             let _ = std::fs::remove_file(&self.tmp);
         }
-        publish.map(|()| self.records)
     }
 }
 
@@ -474,15 +734,6 @@ pub struct SegmentedTrace {
     window: Option<Window>,
 }
 
-fn read_exact_at(file: &mut File, pos: u64, buf: &mut [u8]) -> io::Result<()> {
-    file.seek(SeekFrom::Start(pos))?;
-    file.read_exact(buf)
-}
-
-fn le_u64(buf: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(buf[at..at + 8].try_into().unwrap())
-}
-
 impl SegmentedTrace {
     /// Opens and fully validates a segmented trace.
     ///
@@ -491,94 +742,40 @@ impl SegmentedTrace {
     /// meta is [`SegfileError::Stale`], exactly like a canonical-string
     /// mismatch in the result store. Validation checks the footer and
     /// index checksums, the arithmetic consistency of the layout, and
-    /// every segment checksum in one sequential O(segment)-memory pass.
+    /// every segment checksum and record tag in one sequential pass
+    /// through a fixed [`VERIFY_BUF_BYTES`] buffer.
     ///
     /// # Errors
     ///
     /// [`SegfileError::Stale`] for wrong-version/wrong-meta files,
-    /// [`SegfileError::Corrupt`] for checksum or length disagreements,
-    /// [`SegfileError::Io`] for underlying failures.
+    /// [`SegfileError::Corrupt`] for checksum, length or tag
+    /// disagreements, [`SegfileError::Io`] for underlying failures.
     pub fn open(
         path: &Path,
         expected_meta: &[u8],
         backing: Backing,
     ) -> Result<SegmentedTrace, SegfileError> {
         let mut file = File::open(path)?;
-        let file_len = file.metadata()?.len();
-        let min_len = (12 + FOOTER_BYTES) as u64;
-        if file_len < min_len {
-            // Too short to even carry a magic: if the prefix matches our
-            // magic it is a truncation (corrupt), otherwise foreign.
-            let mut prefix = vec![0u8; file_len.min(8) as usize];
-            read_exact_at(&mut file, 0, &mut prefix)?;
-            return if prefix.starts_with(&SEG_MAGIC[..prefix.len().min(8)]) && !prefix.is_empty() {
-                Err(SegfileError::Corrupt(format!(
-                    "file is {file_len} bytes, shorter than the {min_len}-byte minimum"
-                )))
-            } else {
-                Err(SegfileError::Stale)
-            };
-        }
-
-        let mut head_fixed = [0u8; 12];
-        read_exact_at(&mut file, 0, &mut head_fixed)?;
-        if &head_fixed[0..8] != SEG_MAGIC {
-            return Err(SegfileError::Stale);
-        }
-        let meta_len = u64::from(u32::from_le_bytes(head_fixed[8..12].try_into().unwrap()));
-        let payload_base = 12 + meta_len;
-        if payload_base + FOOTER_BYTES as u64 > file_len {
-            return Err(SegfileError::Corrupt(format!(
-                "meta length {meta_len} overruns the {file_len}-byte file"
-            )));
-        }
-
-        let mut footer = [0u8; FOOTER_BYTES];
-        read_exact_at(&mut file, file_len - FOOTER_BYTES as u64, &mut footer)?;
-        if fnv1a64(&footer[0..40]) != le_u64(&footer, 40) {
-            return Err(SegfileError::Corrupt("footer checksum mismatch".into()));
-        }
-        let records = le_u64(&footer, 0);
-        let seg_records = le_u64(&footer, 8);
-        let n_segs = le_u64(&footer, 16);
-        let index_checksum = le_u64(&footer, 24);
-        let head_checksum = le_u64(&footer, 32);
-
-        let mut head = vec![0u8; payload_base as usize];
-        read_exact_at(&mut file, 0, &mut head)?;
-        if fnv1a64(&head) != head_checksum {
-            return Err(SegfileError::Corrupt("header checksum mismatch".into()));
-        }
-        if &head[12..] != expected_meta {
-            // Header verified intact but written for different contents:
-            // a stale/foreign entry, not damage.
-            return Err(SegfileError::Stale);
-        }
-
-        if seg_records == 0
-            || n_segs != records.div_ceil(seg_records)
-            || n_segs > (file_len / INDEX_ENTRY_BYTES as u64)
-        {
+        let frame = open_frame(&mut file, SEG_MAGIC, expected_meta)?;
+        let Footer {
+            records,
+            seg_records,
+            n_segs,
+            ..
+        } = frame.footer;
+        if seg_records == 0 || n_segs != records.div_ceil(seg_records) {
             return Err(SegfileError::Corrupt(format!(
                 "footer geometry inconsistent: {records} records / {seg_records} per segment \
                  vs {n_segs} segments"
             )));
         }
-        let expect_len = payload_base
-            + records * RECORD_BYTES as u64
-            + n_segs * INDEX_ENTRY_BYTES as u64
-            + FOOTER_BYTES as u64;
-        if expect_len != file_len {
+        let index_bytes = frame.read_index(&mut file, INDEX_ENTRY_BYTES as u64)?;
+        let payload_len = records.checked_mul(RECORD_BYTES as u64);
+        if payload_len != Some(frame.index_base(INDEX_ENTRY_BYTES as u64) - frame.payload_base) {
             return Err(SegfileError::Corrupt(format!(
-                "file is {file_len} bytes, layout implies {expect_len}"
+                "file is {} bytes, layout implies {records} records of {RECORD_BYTES} bytes",
+                frame.file_len
             )));
-        }
-
-        let index_base = payload_base + records * RECORD_BYTES as u64;
-        let mut index_bytes = vec![0u8; (n_segs * INDEX_ENTRY_BYTES as u64) as usize];
-        read_exact_at(&mut file, index_base, &mut index_bytes)?;
-        if fnv1a64(&index_bytes) != index_checksum {
-            return Err(SegfileError::Corrupt("index checksum mismatch".into()));
         }
         let mut index = Vec::with_capacity(n_segs as usize);
         let mut first_record = 0u64;
@@ -605,30 +802,26 @@ impl SegmentedTrace {
             )));
         }
 
-        // Eager integrity pass: verify every segment checksum now, with
-        // one reusable O(segment) buffer, so replay can trust windows
-        // without re-hashing and corruption hits the quarantine path at
-        // open time.
-        let mut buf = Vec::new();
-        for (k, seg) in index.iter().enumerate() {
-            let len = (seg.records * RECORD_BYTES as u64) as usize;
-            buf.resize(len, 0);
-            read_exact_at(
-                &mut file,
-                payload_base + seg.first_record * RECORD_BYTES as u64,
-                &mut buf,
-            )?;
-            if fnv1a64(&buf) != seg.checksum {
-                return Err(SegfileError::Corrupt(format!(
-                    "segment {k} checksum mismatch"
-                )));
-            }
-        }
+        // Eager integrity pass: verify every segment checksum and record
+        // tag now, so replay can trust windows without re-hashing and
+        // corruption hits the quarantine path at open time.
+        verify_payload(
+            &mut file,
+            frame.payload_base,
+            index
+                .iter()
+                .map(|s| (s.records * RECORD_BYTES as u64, s.checksum)),
+            RECORD_BYTES,
+            |k, piece| match piece.iter().step_by(RECORD_BYTES).find(|&&t| t > MAX_TAG) {
+                Some(t) => Err(format!("segment {k} holds record tag {t}")),
+                None => Ok(()),
+            },
+        )?;
 
         Ok(SegmentedTrace {
             file,
             backing,
-            payload_base,
+            payload_base: frame.payload_base,
             records,
             seg_records,
             index,
@@ -764,9 +957,11 @@ impl SegmentedTrace {
             let window = self
                 .window()
                 .expect("validated segment window read failed mid-replay");
-            for rec in window.payload()[from..upto].chunks_exact(RECORD_BYTES) {
-                out.push(decode_record_fixed(rec));
-            }
+            out.extend(
+                window.payload()[from..upto]
+                    .chunks_exact(RECORD_BYTES)
+                    .map(decode_record_fixed),
+            );
             self.cur_off += take;
             if self.cur_off == seg_records {
                 self.cur_seg += 1;
@@ -1041,7 +1236,7 @@ mod tests {
         // seg_records=3 and meta "golden-v1". Any byte drift in the
         // encoder shows up as a mismatch here; `EBCP_BLESS_GOLDEN=1`
         // regenerates it after an *intentional* format revision.
-        let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/trace_v1.seg");
+        let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/trace_v2.seg");
         let dir = tmpdir("golden");
         let path = dir.join("t.seg");
         write_segmented(&path, b"golden-v1", 3, &sample()).unwrap();
@@ -1058,6 +1253,124 @@ mod tests {
         // And the pinned bytes decode to the expected records.
         let mut st = SegmentedTrace::open(&golden_path, b"golden-v1", Backing::Buffered).unwrap();
         assert_eq!(read_all(&mut st, 4), sample());
+    }
+
+    #[test]
+    fn version_1_golden_file_is_stale() {
+        let v1 = Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/trace_v1.seg");
+        assert!(matches!(
+            SegmentedTrace::open(&v1, b"golden-v1", Backing::Buffered),
+            Err(SegfileError::Stale)
+        ));
+    }
+
+    #[test]
+    fn footer_codec_round_trips_and_rejects_damage() {
+        let f = Footer {
+            records: 7,
+            seg_records: 3,
+            n_segs: 3,
+            index_checksum: 0xdead_beef,
+            head_checksum: 0x1234_5678_9abc_def0,
+        };
+        let mut bytes = f.encode();
+        assert_eq!(Footer::decode(&bytes), Some(f));
+        bytes[17] ^= 4;
+        assert_eq!(Footer::decode(&bytes), None);
+    }
+
+    /// Re-seals a trace file written with `seg_records`-record segments
+    /// after its payload was edited: recomputes every segment checksum,
+    /// the index checksum and the footer, so only the structural checks
+    /// can reject it.
+    fn reseal(bytes: &mut [u8], meta_len: usize, seg_records: usize) {
+        let n = bytes.len();
+        let footer = Footer::decode(bytes[n - FOOTER_BYTES..].try_into().unwrap()).unwrap();
+        let index_base = n - FOOTER_BYTES - footer.n_segs as usize * INDEX_ENTRY_BYTES;
+        let payload = 12 + meta_len;
+        for k in 0..footer.n_segs as usize {
+            let entry = index_base + k * INDEX_ENTRY_BYTES;
+            let recs = le_u64(bytes, entry) as usize;
+            let at = payload + k * seg_records * RECORD_BYTES;
+            let sum = checksum64(&bytes[at..at + recs * RECORD_BYTES]);
+            bytes[entry + 8..entry + 16].copy_from_slice(&sum.to_le_bytes());
+        }
+        let footer = Footer {
+            index_checksum: checksum64(&bytes[index_base..n - FOOTER_BYTES]),
+            ..footer
+        };
+        bytes[n - FOOTER_BYTES..].copy_from_slice(&footer.encode());
+    }
+
+    #[test]
+    fn checksum_valid_bad_tag_is_corrupt_not_a_panic() {
+        let dir = tmpdir("badtag");
+        let path = dir.join("t.seg");
+        write_segmented(&path, b"m", 3, &sample()).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[13 + 4 * RECORD_BYTES] = MAX_TAG + 1; // record 4's tag
+        reseal(&mut bytes, 1, 3);
+        std::fs::write(&path, &bytes).unwrap();
+        match SegmentedTrace::open(&path, b"m", Backing::Mmap) {
+            Err(SegfileError::Corrupt(why)) => assert!(why.contains("tag 7"), "{why}"),
+            Err(other) => panic!("expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("expected Corrupt, got Ok"),
+        }
+        // The reseal itself is sound: the same edit with a valid tag opens.
+        bytes[13 + 4 * RECORD_BYTES] = 0;
+        reseal(&mut bytes, 1, 3);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(SegmentedTrace::open(&path, b"m", Backing::Buffered).is_ok());
+    }
+
+    #[test]
+    fn verify_spans_many_buffer_refills() {
+        // Segments larger than the verify buffer, and a tail segment
+        // that ends mid-buffer, still verify and still catch damage.
+        let dir = tmpdir("bigseg");
+        let path = dir.join("t.seg");
+        let spec = WorkloadSpec::database().scaled(1, 64);
+        let n = 2 * VERIFY_BUF_BYTES / RECORD_BYTES + 777;
+        let trace: Vec<_> = TraceGenerator::new(&spec, 5).take(n).collect();
+        let seg = (VERIFY_BUF_BYTES / RECORD_BYTES + 5) as u64;
+        write_segmented(&path, b"m", seg, &trace).unwrap();
+        let mut st = SegmentedTrace::open(&path, b"m", Backing::Buffered).unwrap();
+        assert_eq!(st.n_segments(), 3);
+        assert_eq!(read_all(&mut st, 4096), trace);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = 13 + (seg as usize + VERIFY_BUF_BYTES / RECORD_BYTES) * RECORD_BYTES + 3;
+        bytes[at] ^= 0x20;
+        std::fs::write(&path, &bytes).unwrap();
+        match SegmentedTrace::open(&path, b"m", Backing::Buffered) {
+            Err(SegfileError::Corrupt(why)) => assert!(why.contains("segment 1"), "{why}"),
+            Err(other) => panic!("expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("expected Corrupt, got Ok"),
+        }
+    }
+
+    #[test]
+    fn dropped_sink_leaves_no_tmp_file() {
+        let dir = tmpdir("drop");
+        let mut sink = TraceSink::create(&dir.join("t.seg"), b"m", 2).unwrap();
+        sink.push_chunk(&sample()).unwrap();
+        drop(sink);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    }
+
+    #[test]
+    fn push_and_push_chunk_write_identical_files() {
+        let dir = tmpdir("pushes");
+        let (a, b) = (dir.join("a.seg"), dir.join("b.seg"));
+        let trace = sample();
+        write_segmented(&a, b"m", 3, &trace).unwrap();
+        let mut sink = TraceSink::create(&b, b"m", 3).unwrap();
+        for r in &trace[..2] {
+            sink.push(r).unwrap();
+        }
+        sink.push_chunk(&trace[2..6]).unwrap();
+        sink.push(&trace[6]).unwrap();
+        assert_eq!(sink.finish().unwrap(), 7);
+        assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
     }
 
     mod props {

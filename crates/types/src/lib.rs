@@ -11,6 +11,8 @@
 //!   priority class its memory traffic travels in.
 //! * a small statistics toolkit ([`stats::Counter`], [`stats::Ratio`],
 //!   [`stats::Histogram`]) used by the memory system and the simulator.
+//! * [`checksum`] — the streaming XXH64 integrity checksum of the
+//!   on-disk segmented trace and pre-resolved stream formats.
 //! * [`FxHashMap`]/[`FxHashSet`] — deterministic, no-alloc fast hashing
 //!   for the simulator's per-miss-path tables (see [`fxhash`]).
 //!
@@ -26,6 +28,7 @@
 //! ```
 
 pub mod addr;
+pub mod checksum;
 pub mod fxhash;
 pub mod kind;
 pub mod stats;
