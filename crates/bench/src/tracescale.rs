@@ -10,10 +10,11 @@
 //! * **segmented** — one worker, O(segment) memory: the front end and
 //!   back end interleave block by block over a lazy iterator; nothing
 //!   larger than a segment is ever resident. Exact.
-//! * **pipelined** — FE and BE on separate threads, O(segment) memory
+//! * **pipelined** — trace generation on a producer thread, front end
+//!   and back end on the calling thread, O(chunk) memory
 //!   ([`ebcp_sim::run_pipelined`]). Exact; the overlap win is bounded
-//!   by the front end's ~5-10% share of the cost, so this mode buys
-//!   memory, not speedup.
+//!   by generation's share of the cost, so this mode buys memory, not
+//!   speedup.
 //! * **1-worker stream replay** — large tier only: the front end runs
 //!   once, streaming blocks to an on-disk pre-resolved cache
 //!   (`EBCPPRE4`, the harness's own format); one worker then replays

@@ -83,10 +83,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-use ebcp_sim::frontend::{PreResolved, PreResolver};
-use ebcp_sim::{run_pipelined, run_preresolved_blocks, run_preresolved_blocks_many};
+use ebcp_sim::frontend::PreResolved;
+use ebcp_sim::{lockstep_lanes, replay_blocks, run_stream_pipeline, ReplayTarget};
 use ebcp_sim::{CmpResult, Engine, PrefetcherSpec, SimResult};
-use ebcp_trace::template::WorkloadProgram;
 use ebcp_trace::{Backing, ChunkSource, TraceGenerator};
 
 pub use crate::cmp::{CmpJob, CMP_CANON_VERSION};
@@ -131,6 +130,47 @@ fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
 fn report_quarantine(tx: &mpsc::Sender<Event>, path: &Path, reason: String) {
     let path = path.display().to_string();
     let _ = tx.send(Event::CacheQuarantined { path, reason });
+}
+
+/// Builds `job`'s pre-resolved stream under `dir` from `src` while
+/// `target` replays it (see [`run_stream_pipeline`]), publishes it, and
+/// returns `target` once the published file verifies.
+///
+/// # Panics
+///
+/// Panics on a write failure, a panic in `src`, or a published stream
+/// that fails to verify; the writer's temp file is removed on the way
+/// out.
+fn build_stream<T: ReplayTarget>(
+    dir: &Path,
+    job: &Job,
+    seg_records: u64,
+    src: &mut (dyn ChunkSource + Send),
+    target: T,
+) -> T {
+    let mut writer =
+        preres::PreresWriter::create(dir, job, seg_records).expect("preres stream writer");
+    let target = run_stream_pipeline(&job.spec, src, seg_records, target, &mut writer)
+        .expect("preres stream write");
+    writer.finish().expect("preres stream publish");
+    expect_verified(dir, job);
+    target
+}
+
+/// Reopens `job`'s freshly published stream under `dir`, panicking with
+/// the path and the reason unless it verifies.
+fn expect_verified(dir: &Path, job: &Job) {
+    match preres::open_stream_checked(dir, job) {
+        CacheRead::Hit(_) => {}
+        CacheRead::Miss => panic!(
+            "freshly written pre-resolved stream {} failed to verify: Miss",
+            preres::path_for(dir, job).display()
+        ),
+        CacheRead::Quarantined { path, reason } => panic!(
+            "freshly written pre-resolved stream failed to verify: Quarantined to {}: {reason}",
+            path.display()
+        ),
+    }
 }
 
 /// The worker pool: `workers` scoped threads drain the indices `0..n`
@@ -370,7 +410,10 @@ impl Cell for Job {
     /// bounded-memory streamed path.
     fn run(&self, h: &Harness, per_worker: u64, tx: &mpsc::Sender<Event>) -> SimResult {
         if let Some(seg_records) = h.stream_plan(self, per_worker) {
-            return h.run_streamed(self, seg_records, tx);
+            let engine = Engine::new(self.spec.sim, self.pf.build());
+            return h
+                .run_streamed(self, seg_records, engine, tx)
+                .result(&self.spec.workload.name);
         }
         self.spec.run_preresolved(&h.warm_pre(self, tx), &self.pf)
     }
@@ -387,18 +430,12 @@ impl Cell for Job {
         let lead = unit[0];
         let pfs: Vec<PrefetcherSpec> = unit.iter().map(|j| j.pf.clone()).collect();
         if let Some(seg_records) = h.stream_plan(lead, per_worker) {
-            if let Some(dir) = h.store_dir() {
-                // One disk pass over the cached block stream drives every
-                // lane — lockstep amortization at O(segment) memory.
-                let mut stream = h.prepare_stream(dir, lead, seg_records, tx);
-                return run_preresolved_blocks_many(&lead.spec, stream.blocks(), &pfs);
-            }
-            // No disk to stream blocks from: each lane runs the
-            // bounded-memory pipelined path on its own.
-            return unit
-                .iter()
-                .map(|j| Ok(h.run_streamed(j, seg_records, tx)))
-                .collect();
+            // One streamed pass drives every lane — lockstep
+            // amortization at bounded memory, with or without a store.
+            let group = lockstep_lanes(&lead.spec, &pfs);
+            return h
+                .run_streamed(lead, seg_records, group, tx)
+                .results(&lead.spec.workload.name);
         }
         lead.spec.run_preresolved_many(&h.warm_pre(lead, tx), &pfs)
     }
@@ -970,56 +1007,50 @@ impl Harness {
         Some(source::seg_records_for_budget(per_worker_bytes))
     }
 
-    /// Bounded-memory single-job execution: with a store, replay the
-    /// per-segment pre-resolved block stream from disk (building it
-    /// first if cold — also segment-at-a-time); without one, overlap
-    /// front-end production and back-end replay through the two-worker
-    /// pipelined path. Peak resident set is O(segment) either way.
+    /// Bounded-memory execution of a unit led by `lead`: `target` — one
+    /// engine, or a lockstep group of the unit's lanes — replays
+    /// `lead`'s pre-resolved stream one entry-aligned slice at a time.
+    /// With a store, a cached stream that verifies is replayed from
+    /// disk; otherwise the streamed pipeline produces the trace (from
+    /// the segmented trace store when enabled — mmap'd windows when
+    /// warm, generated and written in the same pass when cold — else
+    /// from the generator), resolves it, writes the stream and replays
+    /// it in one pass. Without a store the pipeline writes nothing.
+    /// Corrupt cached files (stream or trace) are quarantined, reported
+    /// over `tx`, and rebuilt. Peak resident set is O(segment) on the
+    /// disk path and O(chunk) on the pipeline.
     ///
     /// CMP cells deliberately do not take this path: the discrete-event
     /// engine interleaves all cores' streams by cycle, so it holds them
     /// whole; per-core workloads are footprint-scaled by core count,
     /// which keeps them inside the budget at supported scales.
-    fn run_streamed(&self, job: &Job, seg_records: u64, tx: &mpsc::Sender<Event>) -> SimResult {
-        if let Some(dir) = self.store_dir() {
-            let mut stream = self.prepare_stream(dir, job, seg_records, tx);
-            run_preresolved_blocks(&job.spec, stream.blocks(), &job.pf)
-        } else {
-            let program = Arc::new(WorkloadProgram::build(&job.spec.workload));
-            run_pipelined(&job.spec, program, seg_records, &job.pf)
-        }
-    }
-
-    /// Opens `job`'s per-segment pre-resolved block stream from the
-    /// store, building it first when cold: trace records come from the
-    /// segmented trace store when enabled (mmap'd windows when warm;
-    /// when cold, generated and written to the store in the same pass
-    /// that resolves them), else from chunked generation, and finished
-    /// blocks go straight to disk — so even building the stream never
-    /// materializes it. Corrupt cached files (stream or trace) are
-    /// quarantined, reported over `tx`, and rebuilt.
     ///
     /// # Panics
     ///
-    /// Panics on file-system failure — the worker's `catch_unwind`
-    /// converts that to a failed (retried-once) job. Unlike the
-    /// materialized path there is no memory fallback to offer: the
-    /// budget says the stream must live on disk.
-    fn prepare_stream(
+    /// Panics on file-system failure, and when a freshly written trace
+    /// or stream fails to verify — the worker's `catch_unwind` converts
+    /// that to a failed (retried-once) job, and no result is returned
+    /// before both verify. Unlike the materialized path there is no
+    /// memory fallback to offer: the budget says the stream must live
+    /// on disk.
+    fn run_streamed<T: ReplayTarget>(
         &self,
-        dir: &Path,
-        job: &Job,
+        lead: &Job,
         seg_records: u64,
+        target: T,
         tx: &mpsc::Sender<Event>,
-    ) -> preres::PreresStream {
-        match preres::open_stream_checked(dir, job) {
-            CacheRead::Hit(stream) => return stream,
+    ) -> T {
+        let spec = &lead.spec;
+        let Some(dir) = self.store_dir() else {
+            let mut gen = TraceGenerator::new(&spec.workload, spec.seed);
+            return run_stream_pipeline(spec, &mut gen, seg_records, target, &mut ())
+                .expect("a discarding sink cannot fail");
+        };
+        match preres::open_stream_checked(dir, lead) {
+            CacheRead::Hit(mut stream) => return replay_blocks(spec, stream.blocks(), target),
             CacheRead::Miss => {}
             CacheRead::Quarantined { path, reason } => report_quarantine(tx, &path, reason),
         }
-        let spec = &job.spec;
-        let mut writer =
-            preres::PreresWriter::create(dir, job, seg_records).expect("preres stream writer");
         let mut stored = self.cfg.trace_store.then(|| {
             traces::StoredTrace::open(dir, spec, seg_records, Backing::Mmap, |path, reason| {
                 report_quarantine(tx, &path, reason)
@@ -1027,59 +1058,20 @@ impl Harness {
             .expect("segmented trace store")
         });
         let mut gen;
-        let src: &mut dyn ChunkSource = match &mut stored {
+        let src: &mut (dyn ChunkSource + Send) = match &mut stored {
             Some(trace) => trace,
             None => {
                 gen = TraceGenerator::new(&spec.workload, spec.seed);
                 &mut gen
             }
         };
-        let mut pr = PreResolver::new(&spec.sim);
-        let mut chunk = Vec::with_capacity(Engine::CHUNK_RECORDS);
-        let mut left = spec.warmup_insts + spec.measure_insts;
-        let mut blocks = 0u64;
-        while left > 0 {
-            let room = seg_records - pr.pending_records();
-            let want = (Engine::CHUNK_RECORDS as u64).min(left).min(room) as usize;
-            let got = src.next_chunk(&mut chunk, want);
-            if got == 0 {
-                break;
-            }
-            pr.push_chunk(&chunk);
-            left -= got as u64;
-            if pr.pending_records() == seg_records {
-                let b = pr.split_block();
-                writer
-                    .push_block(&b.events, b.records)
-                    .expect("preres block write");
-                blocks += 1;
-                // Start the next block at the size this one reached: every
-                // segment then reuses one allocation instead of regrowing
-                // from empty, which keeps the peak resident set the same
-                // whatever the per-segment event counts.
-                let cap = b.events.capacity();
-                drop(b);
-                pr.reserve(cap);
-            }
-        }
-        if pr.pending_records() > 0 || blocks == 0 {
-            let b = pr.split_block();
-            writer
-                .push_block(&b.events, b.records)
-                .expect("preres block write");
-        }
+        let target = build_stream(dir, lead, seg_records, src, target);
         if let Some(trace) = stored {
-            // Publishes a freshly written trace and verifies it.
+            // Publishes the freshly written trace and verifies it, on
+            // this thread: the producer has been joined.
             trace.finish().expect("segmented trace store");
         }
-        writer.finish().expect("preres stream publish");
-        match preres::open_stream_checked(dir, job) {
-            CacheRead::Hit(stream) => stream,
-            other => panic!(
-                "freshly written pre-resolved stream failed to verify: {:?}",
-                other.into_hit().is_some()
-            ),
-        }
+        target
     }
 
     /// Obtains the pre-resolved event stream for `job`: from the disk
@@ -1369,6 +1361,7 @@ pub fn write_doc(path: &Path, doc: &Value) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ebcp_sim::frontend::PreResolver;
     use ebcp_sim::{PrefetcherSpec, RunSpec, SimConfig};
     use ebcp_trace::WorkloadSpec;
 
@@ -2082,6 +2075,194 @@ mod tests {
         });
         assert_eq!(h.run(&jobs), reference);
         assert_eq!(h.summary().executed, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A lockstep unit over a trace long enough for several segments.
+    fn streamed_unit(pfs: &[PrefetcherSpec]) -> Vec<Job> {
+        let mut s = spec(WorkloadSpec::database().scaled(1, 16), 5);
+        s.warmup_insts = 100_000;
+        s.measure_insts = 40_000;
+        pfs.iter()
+            .map(|pf| Job::new(s.clone(), pf.clone()))
+            .collect()
+    }
+
+    fn tiny_budget(store_dir: Option<PathBuf>, trace_store: bool) -> Harness {
+        Harness::new(HarnessConfig {
+            jobs: 1,
+            mem_budget_bytes: 1,
+            store_dir,
+            trace_store,
+            ..HarnessConfig::default()
+        })
+    }
+
+    /// Every file under `dir` whose name marks an unpublished write.
+    fn tmp_files(dir: &Path) -> Vec<PathBuf> {
+        let mut found = Vec::new();
+        let mut stack = vec![dir.to_path_buf()];
+        while let Some(d) = stack.pop() {
+            for entry in std::fs::read_dir(&d).into_iter().flatten().flatten() {
+                let path = entry.path();
+                if path.is_dir() {
+                    stack.push(path);
+                } else if path.to_string_lossy().contains(".tmp.") {
+                    found.push(path);
+                }
+            }
+        }
+        found
+    }
+
+    /// Without a store a lockstep unit makes one pipelined pass for all
+    /// its lanes; its results equal the store-backed unit's (cold and
+    /// warm) and a lockstep replay of the materialized stream.
+    #[test]
+    fn no_store_lockstep_unit_matches_store_backed_and_materialized() {
+        let jobs = streamed_unit(&[
+            PrefetcherSpec::None,
+            PrefetcherSpec::Ebcp(ebcp_core::EbcpConfig::tuned()),
+        ]);
+        let s = &jobs[0].spec;
+        let pfs: Vec<PrefetcherSpec> = jobs.iter().map(|j| j.pf.clone()).collect();
+        let materialized: Vec<SimResult> = s
+            .run_preresolved_many(&s.pre_resolve(), &pfs)
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
+        assert_eq!(tiny_budget(None, false).run(&jobs), materialized);
+        let dir = std::env::temp_dir().join(format!("ebcp-harness-nostore-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for pass in ["cold", "warm"] {
+            let h = tiny_budget(Some(dir.clone()), true);
+            assert_eq!(h.run(&jobs), materialized, "{pass} store-backed unit");
+            assert_eq!(h.summary().executed, 2, "{pass}: results were wiped");
+            let store = ResultStore::open(&dir).unwrap();
+            for job in &jobs {
+                std::fs::remove_file(store.entry_path(job)).unwrap();
+            }
+        }
+        let stream = preres::open_stream_checked(&dir, &jobs[0])
+            .into_hit()
+            .unwrap();
+        assert!(stream.n_segments() > 1, "several segments");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A freshly published stream that does not verify fails the job
+    /// with the path and the reason, not a bare flag.
+    #[test]
+    fn verify_failure_names_the_path_and_the_reason() {
+        let dir = std::env::temp_dir().join(format!("ebcp-harness-verify-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let job = &streamed_unit(&[PrefetcherSpec::None])[0];
+        let message = |dir: &Path| {
+            let payload = catch_unwind(|| expect_verified(dir, job)).expect_err("must panic");
+            panic_reason(payload)
+        };
+        let missing = message(&dir);
+        assert!(missing.ends_with("failed to verify: Miss"), "{missing}");
+        assert!(
+            missing.contains(&preres::path_for(&dir, job).display().to_string()),
+            "{missing}"
+        );
+
+        let pre = job.spec.pre_resolve();
+        preres::save(&dir, job, &pre).unwrap();
+        let path = preres::path_for(&dir, job);
+        let len = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 7)
+            .unwrap();
+        let truncated = message(&dir);
+        assert!(truncated.contains("Quarantined to "), "{truncated}");
+        assert!(truncated.contains(".bin.corrupt"), "{truncated}");
+        assert!(truncated.contains("checksum"), "{truncated}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A trace source that panics mid-stream, on the producer thread of
+    /// a cold build, fails the attempt without a deadlock and leaves no
+    /// temp or published file behind; the next attempt on the same
+    /// store builds everything and matches the materialized results.
+    #[test]
+    fn panicking_source_leaves_no_files_and_the_rerun_succeeds() {
+        struct PanicAfter<S>(S, usize);
+        impl<S: ChunkSource> ChunkSource for PanicAfter<S> {
+            fn next_chunk(&mut self, out: &mut Vec<ebcp_trace::TraceRecord>, max: usize) -> usize {
+                assert!(self.1 > 0, "trace source failed mid-stream");
+                self.1 -= 1;
+                self.0.next_chunk(out, max)
+            }
+        }
+        let jobs = streamed_unit(&[PrefetcherSpec::None]);
+        let (job, s) = (&jobs[0], &jobs[0].spec);
+        let reference = Harness::serial().run(&jobs);
+        let dir =
+            std::env::temp_dir().join(format!("ebcp-harness-srcpanic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let seg = source::seg_records_for_budget(1);
+        let failed = catch_unwind(AssertUnwindSafe(|| {
+            let stored = traces::StoredTrace::open(&dir, s, seg, Backing::Mmap, |_, _| {}).unwrap();
+            let engine = Engine::new(s.sim, job.pf.build());
+            build_stream(&dir, job, seg, &mut PanicAfter(stored, 20), engine)
+        }));
+        let reason = panic_reason(failed.expect_err("the source's panic fails the attempt"));
+        assert_eq!(reason, "trace source failed mid-stream");
+        assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new());
+        assert!(!preres::path_for(&dir, job).exists());
+        assert!(!traces::path_for(&dir, s).exists());
+
+        let h = tiny_budget(Some(dir.clone()), true);
+        assert_eq!(h.run(&jobs), reference);
+        assert!(preres::path_for(&dir, job).is_file());
+        assert!(traces::path_for(&dir, s).is_file());
+        assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A fault-injected lane in a cold pipelined unit dies alone, with
+    /// and without a store; its siblings equal their serial replays and
+    /// the stream the unit wrote is complete.
+    #[test]
+    fn cold_pipelined_fault_lane_fails_alone() {
+        use ebcp_prefetch::{BaselineConfig, FaultConfig};
+        let jobs = streamed_unit(&[
+            PrefetcherSpec::None,
+            PrefetcherSpec::baseline("fault", BaselineConfig::Fault(FaultConfig::panic_after(40))),
+            PrefetcherSpec::Ebcp(ebcp_core::EbcpConfig::tuned()),
+        ]);
+        let serial = Harness::new(HarnessConfig {
+            jobs: 1,
+            lockstep: false,
+            ..HarnessConfig::default()
+        });
+        let dir =
+            std::env::temp_dir().join(format!("ebcp-harness-coldfault-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for store_dir in [None, Some(dir.clone())] {
+            let h = tiny_budget(store_dir, true);
+            let out = h.run_outcomes(&jobs);
+            let reason = out[1].failure().expect("fault lane must fail");
+            assert!(reason.contains("injected fault"), "{reason}");
+            assert_eq!(h.summary().failed, 1);
+            for k in [0, 2] {
+                assert_eq!(
+                    out[k],
+                    serial.run_outcomes(&jobs[k..=k])[0],
+                    "sibling lane {k}"
+                );
+            }
+        }
+        let stream = preres::open_stream_checked(&dir, &jobs[0])
+            .into_hit()
+            .unwrap();
+        assert_eq!(stream.records(), 140_000);
+        assert_eq!(tmp_files(&dir), Vec::<PathBuf>::new());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

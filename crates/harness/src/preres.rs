@@ -54,7 +54,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use ebcp_sim::frontend::{PreBlock, PreEvent, PreResolved};
-use ebcp_sim::RunSpec;
+use ebcp_sim::{RunSpec, SegmentSink};
 use ebcp_trace::segfile::{
     encode_head, open_frame, read_pieces, verify_payload, Footer, SegfileError,
 };
@@ -133,12 +133,14 @@ pub(crate) fn migrate_flat_streams(store_dir: &Path) {
 // ---------------------------------------------------------------------------
 // Writing
 
-/// Streaming writer for a job's cached stream: push blocks as the
-/// front-end pass produces them; nothing but the index and one bounded
-/// staging buffer is held. Written to a pid- and sequence-unique temp
-/// file and renamed on [`PreresWriter::finish`] so concurrent writers
-/// never interleave and readers never observe a partial file; a writer
-/// dropped without a successful `finish` removes its temp file.
+/// Streaming writer for a job's cached stream: push blocks — or events
+/// as they resolve, closing each segment with its record count — as
+/// the front-end pass produces them; nothing but the index and one
+/// bounded staging buffer is held. Written to a pid- and
+/// sequence-unique temp file and renamed on [`PreresWriter::finish`] so
+/// concurrent writers never interleave and readers never observe a
+/// partial file; a writer dropped without a successful `finish` removes
+/// its temp file.
 pub struct PreresWriter {
     w: BufWriter<File>,
     tmp: PathBuf,
@@ -148,6 +150,9 @@ pub struct PreresWriter {
     seg_records: u64,
     records: u64,
     index: Vec<(u64, u64, u64)>,
+    /// Events and running checksum of the open segment.
+    seg_events: u64,
+    seg_hash: Checksum64,
     buf: Vec<u8>,
 }
 
@@ -174,6 +179,8 @@ impl PreresWriter {
             seg_records,
             records: 0,
             index: Vec::new(),
+            seg_events: 0,
+            seg_hash: Checksum64::new(),
             buf: Vec::new(),
         };
         writer.w.write_all(&head)?;
@@ -186,7 +193,19 @@ impl PreresWriter {
     ///
     /// Propagates file-system failures.
     pub fn push_block(&mut self, events: &[PreEvent], records: u64) -> io::Result<()> {
-        let mut hash = Checksum64::new();
+        self.push_events(events)?;
+        self.end_segment(records);
+        Ok(())
+    }
+
+    /// Appends `events` to the open segment. The checksum is streamed,
+    /// so any split of a segment's events across calls writes the same
+    /// bytes as one [`PreresWriter::push_block`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates file-system failures.
+    pub fn push_events(&mut self, events: &[PreEvent]) -> io::Result<()> {
         for slice in events.chunks(WRITE_SLICE_EVENTS) {
             self.buf.resize(slice.len() * EVENT_BYTES as usize, 0);
             for (out, ev) in self.buf.chunks_exact_mut(EVENT_BYTES as usize).zip(slice) {
@@ -195,13 +214,21 @@ impl PreresWriter {
                 out[16..20].copy_from_slice(&ev.gap.to_le_bytes());
                 out[20..24].copy_from_slice(&ev.flags.to_le_bytes());
             }
-            hash.update(&self.buf);
+            self.seg_hash.update(&self.buf);
             self.w.write_all(&self.buf)?;
         }
-        self.index
-            .push((events.len() as u64, records, hash.finish()));
-        self.records += records;
+        self.seg_events += events.len() as u64;
         Ok(())
+    }
+
+    /// Closes the open segment, which stands for `records` trace
+    /// records, and starts the next one (the index is written by
+    /// [`PreresWriter::finish`]).
+    pub fn end_segment(&mut self, records: u64) {
+        let hash = std::mem::replace(&mut self.seg_hash, Checksum64::new());
+        self.index.push((self.seg_events, records, hash.finish()));
+        self.seg_events = 0;
+        self.records += records;
     }
 
     /// Writes index + footer and atomically renames into place.
@@ -229,6 +256,16 @@ impl PreresWriter {
         self.w.flush()?;
         std::fs::rename(&self.tmp, &self.path)?;
         self.published = true;
+        Ok(())
+    }
+}
+
+impl SegmentSink for PreresWriter {
+    fn push_events(&mut self, events: &[PreEvent]) -> io::Result<()> {
+        PreresWriter::push_events(self, events)
+    }
+    fn end_segment(&mut self, records: u64) -> io::Result<()> {
+        PreresWriter::end_segment(self, records);
         Ok(())
     }
 }
@@ -638,6 +675,46 @@ mod tests {
         assert_eq!(loaded.events, concat);
         assert_eq!(loaded.records, pre.records);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Appending a segment's events in arbitrary slices and closing
+        /// it with its record count writes the file `push_block` writes,
+        /// byte for byte: the segment checksum is streamed.
+        #[test]
+        fn sliced_segments_write_the_push_block_bytes(
+            cuts in proptest::collection::vec(1usize..2_000, 0..12),
+        ) {
+            let j = job();
+            let blocks = ebcp_sim::segment_events(&j.spec.pre_resolve(), 3_000);
+            let (whole, sliced) = (tmpdir("slices-whole"), tmpdir("slices-cut"));
+            let mut w = PreresWriter::create(&whole, &j, 3_000).unwrap();
+            for b in &blocks {
+                w.push_block(&b.events, b.records).unwrap();
+            }
+            w.finish().unwrap();
+            let mut w = PreresWriter::create(&sliced, &j, 3_000).unwrap();
+            let mut cuts = cuts.iter().cycle();
+            for b in &blocks {
+                let mut rest = &b.events[..];
+                w.push_events(&[]).unwrap();
+                while !rest.is_empty() {
+                    let (head, tail) = rest.split_at(cuts.next().map_or(rest.len(), |&c| c.min(rest.len())));
+                    w.push_events(head).unwrap();
+                    rest = tail;
+                }
+                w.end_segment(b.records);
+            }
+            w.finish().unwrap();
+            prop_assert!(
+                std::fs::read(path_for(&whole, &j)).unwrap()
+                    == std::fs::read(path_for(&sliced, &j)).unwrap()
+            );
+            let _ = std::fs::remove_dir_all(&whole);
+            let _ = std::fs::remove_dir_all(&sliced);
+        }
     }
 
     #[test]

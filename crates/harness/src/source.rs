@@ -25,7 +25,10 @@ pub const STREAMED_BYTES_PER_RECORD: u64 = 17 + 24;
 
 /// Headroom multiplier on [`STREAMED_BYTES_PER_RECORD`] covering decode
 /// scratch (one `TraceRecord` chunk), the replay engine itself and
-/// allocator slack.
+/// allocator slack. The charge is sized for the warm path, which reads
+/// one event block at a time; the cold path's streamed pipeline holds
+/// no event block at all, only a few record chunks and one chunk's
+/// events, so it stays well inside the same charge.
 pub const STREAMED_HEADROOM: u64 = 4;
 
 /// Estimated materialized footprint of `spec`'s *pre-resolved* event

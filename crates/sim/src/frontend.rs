@@ -386,6 +386,8 @@ pub struct PreResolver {
     records: u64,
     /// `records` as of the last [`PreResolver::split_block`] call.
     records_mark: u64,
+    /// Records handed out by [`PreResolver::take_events`] since then.
+    records_taken: u64,
     l1i: ebcp_mem::CacheGeometry,
     l1d: ebcp_mem::CacheGeometry,
 }
@@ -399,6 +401,7 @@ impl PreResolver {
             events: Vec::new(),
             records: 0,
             records_mark: 0,
+            records_taken: 0,
             l1i: cfg.l1i,
             l1d: cfg.l1d,
         }
@@ -449,9 +452,33 @@ impl PreResolver {
         self.gap = gap;
     }
 
+    /// Moves the entries completed so far to the end of `out` and
+    /// returns the trace records they stand for. The pending gap stays
+    /// in place — it belongs to an event not resolved yet — so the
+    /// taken entries are exactly a prefix of the unsplit stream and
+    /// replay-exact on their own (see [`PreBlock`]).
+    ///
+    /// An empty `out` trades buffers with the builder instead of
+    /// copying, so a caller that clears and passes the same `out` back
+    /// cycles two allocations. Taken records still count towards
+    /// [`PreResolver::pending_records`]: the segment they belong to
+    /// closes at the next [`PreResolver::split_block`], whose block
+    /// then holds only what was resolved after this call.
+    pub fn take_events(&mut self, out: &mut Vec<PreEvent>) -> u64 {
+        if out.is_empty() {
+            std::mem::swap(out, &mut self.events);
+        } else {
+            out.append(&mut self.events);
+        }
+        let taken = self.records - self.records_mark - self.records_taken - u64::from(self.gap);
+        self.records_taken += taken;
+        taken
+    }
+
     /// Cuts the stream here and hands back everything resolved since
-    /// the previous cut as a [`PreBlock`], flushing any pending gap as
-    /// a pure filler so the block stands for a whole number of records.
+    /// the previous cut (less what [`PreResolver::take_events`] already
+    /// moved out) as a [`PreBlock`], flushing any pending gap as a pure
+    /// filler so the block stands for a whole number of records.
     ///
     /// The L1 model carries over untouched — the next block continues
     /// the same front-end state — so the concatenated blocks replay
@@ -467,8 +494,9 @@ impl PreResolver {
             });
             self.gap = 0;
         }
-        let records = self.records - self.records_mark;
+        let records = self.records - self.records_mark - self.records_taken;
         self.records_mark = self.records;
+        self.records_taken = 0;
         PreBlock {
             events: std::mem::take(&mut self.events),
             records,
@@ -809,6 +837,69 @@ mod tests {
             }
             pr.push_chunk(&recs[prev..]);
             prop_assert_eq!(whole, pr.finish());
+        }
+
+        /// `take_events` hands out an entry-aligned prefix: over random
+        /// chunkings, take points and segment cuts, each segment's taken
+        /// slices plus its `split_block` tail are exactly the block the
+        /// same cuts give without taking, and the slices' record counts
+        /// sum to the segment's records. With no cut at all the result
+        /// is the unsplit stream itself.
+        #[test]
+        fn taken_slices_plus_tail_are_the_unsplit_segment(
+            recs in proptest::collection::vec(arb_record(), 1..400),
+            steps in proptest::collection::vec((1usize..60, 0u32..3, 0u32..6), 1..40),
+            cut in 0u32..2,
+        ) {
+            let mut taker = PreResolver::new(&cfg());
+            let mut reference = PreResolver::new(&cfg());
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut slices: Vec<PreEvent> = Vec::new();
+            let mut slice_records = 0u64;
+            let mut close = |taker: &mut PreResolver,
+                             reference: &mut PreResolver,
+                             slices: &mut Vec<PreEvent>,
+                             slice_records: &mut u64| {
+                let segment = taker.pending_records();
+                let tail = taker.split_block();
+                let block = reference.split_block();
+                prop_assert_eq!(*slice_records + tail.records, segment);
+                prop_assert_eq!(segment, block.records);
+                slices.extend_from_slice(&tail.events);
+                prop_assert_eq!(&*slices, &block.events[..]);
+                got.append(slices);
+                want.extend(block.events);
+                *slice_records = 0;
+            };
+            let mut at = 0;
+            for &(len, take, split) in steps.iter().cycle() {
+                if at == recs.len() {
+                    break;
+                }
+                let end = (at + len).min(recs.len());
+                taker.push_chunk(&recs[at..end]);
+                reference.push_chunk(&recs[at..end]);
+                at = end;
+                if take > 0 {
+                    // Into an empty or a non-empty `out`: swap or append.
+                    let mut out = Vec::new();
+                    let records = taker.take_events(&mut out);
+                    prop_assert_eq!(out.iter().map(PreEvent::records).sum::<u64>(), records);
+                    slice_records += records;
+                    slices.extend(out);
+                    if take == 2 {
+                        slice_records += taker.take_events(&mut slices);
+                    }
+                }
+                if cut == 1 && split == 0 {
+                    close(&mut taker, &mut reference, &mut slices, &mut slice_records);
+                }
+            }
+            close(&mut taker, &mut reference, &mut slices, &mut slice_records);
+            prop_assert_eq!(&got, &want);
+            if cut == 0 {
+                prop_assert_eq!(got, PreResolved::from_records(&cfg(), &recs).events);
+            }
         }
 
         /// Gap-counter saturation: when the inert-run counter reaches

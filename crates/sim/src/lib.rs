@@ -66,6 +66,7 @@ pub use lockstep::Lockstep;
 pub use metrics::SimResult;
 pub use runner::{CmpSpec, PrefetcherSpec, RunSpec};
 pub use segment::{
-    run_pipelined, run_preresolved_blocks, run_preresolved_blocks_many, run_scatter,
-    run_scatter_spans_with, run_scatter_with,
+    lockstep_lanes, replay_blocks, run_pipelined, run_preresolved_blocks,
+    run_preresolved_blocks_many, run_scatter, run_scatter_spans_with, run_scatter_with,
+    run_stream_pipeline, ReplayFeeder, ReplayTarget, SegmentSink,
 };
