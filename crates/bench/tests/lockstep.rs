@@ -1,13 +1,10 @@
 //! Differential battery for lockstep multi-prefetcher replay.
 //!
 //! The lockstep engine (`ebcp_sim::Lockstep`) claims byte-identity with
-//! serial replay on every SIMD tier. This battery checks that claim two
-//! ways:
+//! serial replay. This battery checks that claim two ways:
 //!
 //! 1. the full sweep roster × workload matrix, every lane compared to
-//!    its own serial `run_preresolved` result, on every tier the host
-//!    supports (scalar reference included — CI additionally re-runs the
-//!    battery under `EBCP_SIMD=scalar` to cover the env-dispatch path);
+//!    its own serial `run_preresolved` result;
 //! 2. randomized lane subsets, lane orderings and replay-budget split
 //!    points, driven through the raw `Lockstep` API. The PRNG seed is
 //!    printed and embedded in every assertion message, so a failure is
@@ -15,7 +12,7 @@
 
 use ebcp_bench::throughput::sweep_roster;
 use ebcp_bench::Scale;
-use ebcp_sim::{Engine, Lockstep, PrefetcherSpec, ReplayCursor, RunSpec, SimConfig, SimdTier};
+use ebcp_sim::{Engine, Lockstep, PrefetcherSpec, ReplayCursor, RunSpec, SimConfig};
 use ebcp_trace::WorkloadSpec;
 
 /// xorshift64* — deterministic, dependency-free randomness.
@@ -63,12 +60,12 @@ fn random_splits(total: u64, rng: &mut Rng) -> Vec<u64> {
     parts
 }
 
-/// Every roster lane of every workload, lockstep vs serial, on every
-/// SIMD tier this host can run — the full differential matrix. The
+/// Every roster lane of every workload, lockstep vs serial — the full
+/// differential matrix. The
 /// machine is the quick (1/16) CI scale; the instruction budget is
 /// trimmed so the matrix stays test-suite-sized.
 #[test]
-fn full_roster_matrix_is_byte_identical_on_every_tier() {
+fn full_roster_matrix_is_byte_identical() {
     let scale = Scale {
         den: 16,
         warm_tenths: 5,
@@ -77,7 +74,6 @@ fn full_roster_matrix_is_byte_identical_on_every_tier() {
     };
     let roster = sweep_roster(scale);
     assert!(roster.len() >= 14, "roster shrank to {}", roster.len());
-    let tiers = SimdTier::available_tiers();
     for w in scale.workloads_all() {
         let spec = scale.run_spec(&w, scale.machine());
         let pre = spec.pre_resolve();
@@ -85,21 +81,19 @@ fn full_roster_matrix_is_byte_identical_on_every_tier() {
             .iter()
             .map(|pf| spec.run_preresolved(&pre, pf))
             .collect();
-        for &tier in &tiers {
-            let lanes = spec.run_preresolved_many_with(&pre, &roster, tier);
-            assert_eq!(lanes.len(), roster.len());
-            for ((pf, lane), reference) in roster.iter().zip(&lanes).zip(&serial) {
-                let got = lane
-                    .as_ref()
-                    .unwrap_or_else(|e| panic!("{} x {} died on {tier:?}: {e}", w.name, pf.name()));
-                assert_eq!(
-                    got,
-                    reference,
-                    "{} x {} diverged from serial replay on {tier:?}",
-                    w.name,
-                    pf.name()
-                );
-            }
+        let lanes = spec.run_preresolved_many(&pre, &roster);
+        assert_eq!(lanes.len(), roster.len());
+        for ((pf, lane), reference) in roster.iter().zip(&lanes).zip(&serial) {
+            let got = lane
+                .as_ref()
+                .unwrap_or_else(|e| panic!("{} x {} died: {e}", w.name, pf.name()));
+            assert_eq!(
+                got,
+                reference,
+                "{} x {} diverged from serial replay",
+                w.name,
+                pf.name()
+            );
         }
     }
 }
@@ -127,7 +121,6 @@ fn randomized_subsets_orderings_and_budget_splits_match_serial() {
         .iter()
         .map(|pf| spec.run_preresolved(&pre, pf))
         .collect();
-    let tiers = SimdTier::available_tiers();
 
     for round in 0..12 {
         // A random non-empty subset, in random order.
@@ -136,13 +129,12 @@ fn randomized_subsets_orderings_and_budget_splits_match_serial() {
             picked.push(rng.below(roster.len() as u64) as usize);
         }
         shuffle(&mut picked, &mut rng);
-        let tier = tiers[round % tiers.len()];
 
         let engines = picked
             .iter()
             .map(|&k| Engine::new(spec.sim, roster[k].build()))
             .collect();
-        let mut group = Lockstep::with_tier(engines, tier);
+        let mut group = Lockstep::new(engines);
         let mut cur = ReplayCursor::default();
         let warm_splits = random_splits(spec.warmup_insts, &mut rng);
         for chunk in &warm_splits {
@@ -158,7 +150,7 @@ fn randomized_subsets_orderings_and_budget_splits_match_serial() {
         for (lane, &k) in lanes.iter().zip(&picked) {
             let got = lane.as_ref().unwrap_or_else(|e| {
                 panic!(
-                    "seed {seed:#x} round {round}: lane {} died on {tier:?} \
+                    "seed {seed:#x} round {round}: lane {} died \
                      (warm splits {warm_splits:?}, measure splits {measure_splits:?}): {e}",
                     roster[k].name()
                 )
@@ -166,7 +158,7 @@ fn randomized_subsets_orderings_and_budget_splits_match_serial() {
             assert_eq!(
                 got,
                 &serial[k],
-                "seed {seed:#x} round {round}: lane {} diverged on {tier:?} \
+                "seed {seed:#x} round {round}: lane {} diverged \
                  (warm splits {warm_splits:?}, measure splits {measure_splits:?})",
                 roster[k].name()
             );
@@ -196,10 +188,8 @@ fn random_fault_lane_position_never_disturbs_siblings() {
         .iter()
         .map(|pf| spec.run_preresolved(&pre, pf))
         .collect();
-    let tiers = SimdTier::available_tiers();
 
     for round in 0..4 {
-        let tier = tiers[round % tiers.len()];
         let slot = rng.below(roster.len() as u64 + 1) as usize;
         let mut pfs: Vec<PrefetcherSpec> = roster.clone();
         pfs.insert(
@@ -209,7 +199,7 @@ fn random_fault_lane_position_never_disturbs_siblings() {
                 BaselineConfig::Fault(FaultConfig::panic_after(rng.below(60))),
             ),
         );
-        let lanes = spec.run_preresolved_many_with(&pre, &pfs, tier);
+        let lanes = spec.run_preresolved_many(&pre, &pfs);
         for (i, lane) in lanes.iter().enumerate() {
             if i == slot {
                 let reason = lane.as_ref().expect_err("fault lane must die");
@@ -222,15 +212,14 @@ fn random_fault_lane_position_never_disturbs_siblings() {
             let k = if i < slot { i } else { i - 1 };
             let got = lane.as_ref().unwrap_or_else(|e| {
                 panic!(
-                    "seed {seed:#x} round {round}: sibling {} died on {tier:?}: {e}",
+                    "seed {seed:#x} round {round}: sibling {} died: {e}",
                     pfs[i].name()
                 )
             });
             assert_eq!(
                 got,
                 &serial[k],
-                "seed {seed:#x} round {round}: sibling {} disturbed by fault lane at {slot} \
-                 on {tier:?}",
+                "seed {seed:#x} round {round}: sibling {} disturbed by fault lane at {slot}",
                 pfs[i].name()
             );
         }

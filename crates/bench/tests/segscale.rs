@@ -3,9 +3,8 @@
 //! roster, mmap'd segment-file replay vs the in-memory generator, and
 //! the harness's forced-streaming end-to-end path vs the materialized
 //! reference. These are the checks that let the large trace tier run
-//! on the O(segment) paths without a correctness asterisk; the
-//! *approximate* scatter mode's tolerance is pinned separately
-//! (`ebcp_sim::segment` tests and the `tracescale` module tests).
+//! on the O(segment) paths without a correctness asterisk: every
+//! scale-out mode is exact.
 
 use std::sync::Arc;
 

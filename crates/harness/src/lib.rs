@@ -94,8 +94,7 @@ pub use crate::json::Value;
 pub use crate::queue::{JobService, QueueConfig, ServiceStatus, SubmitError};
 pub use crate::scale::Scale;
 pub use crate::source::{
-    est_pre_bytes, seg_records_for_budget, streamed_peak_bytes, TraceSource,
-    DEFAULT_MEM_BUDGET_BYTES,
+    est_pre_bytes, seg_records_for_budget, streamed_peak_bytes, DEFAULT_MEM_BUDGET_BYTES,
 };
 pub use crate::store::{
     store_footprint, CacheRead, ResultStore, StoreClassFootprint, StoreFootprint,
@@ -446,12 +445,13 @@ impl Cell for Job {
 pub struct HarnessConfig {
     /// Worker threads; `0` means [`std::thread::available_parallelism`].
     pub jobs: usize,
-    /// Per-process trace memory budget, honoured by the
-    /// [`TraceSource`] materialize-vs-stream decision for library
-    /// callers. The harness's own job execution no longer materializes
-    /// traces at all — it builds packed pre-resolved event streams by
-    /// chunked generation, whose footprint
-    /// ([`PreResolved::est_bytes`]) is a small fraction of the trace's.
+    /// Per-process memory budget, split evenly across concurrent
+    /// workers. A job whose estimated pre-resolved stream
+    /// ([`est_pre_bytes`]) fits its worker's share replays a
+    /// materialized, shared stream; a larger one runs the streamed
+    /// tier, with segments sized by [`seg_records_for_budget`]. Traces
+    /// themselves are never materialized: streams are built by chunked
+    /// generation.
     pub mem_budget_bytes: u64,
     /// On-disk result store directory; `None` disables caching.
     pub store_dir: Option<PathBuf>,

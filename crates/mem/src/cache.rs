@@ -32,10 +32,10 @@
 //! * the set mask and tag shift are precomputed in [`CacheGeometry`] at
 //!   construction; a lookup does no division or `trailing_zeros`.
 //! * [`SetAssocCache::access`] scans the set in one branchless pass
-//!   (the statically-dispatched `scan4_probe` SIMD kernel for packed
-//!   sets) that finds the hit way and the replacement victim together —
-//!   every per-way decision is a compare+select, so the only
-//!   data-dependent branch per lookup is the final hit/miss outcome.
+//!   (the portable `simd::scan4` kernel for packed sets) that finds
+//!   the hit way and the replacement victim together — every per-way
+//!   decision is a compare+select, so the only data-dependent branch
+//!   per lookup is the final hit/miss outcome.
 //!   The scaled-down L1s thrash by design, which made per-way branches
 //!   (and an MRU pre-probe) chronic mispredicts; [`SetAssocCache::probe`]
 //!   and `mark_dirty`, whose reference streams do repeat lines, still
@@ -491,12 +491,10 @@ impl SetAssocCache {
         // (reasonably predictable) branch instead of one per way.
         match &mut self.store {
             Store::Packed(blocks) => {
-                // One SIMD tag compare over the single-line set block
-                // yields hit way and victim together. Statically
-                // dispatched (`scan4_probe`): per-probe runtime
-                // dispatch costs more than the 32-byte scan it selects.
+                // One tag scan over the single-line set block yields
+                // hit way and victim together.
                 let b = &mut blocks[set as usize];
-                let (h, v) = crate::simd::scan4_probe(&b.tags, &b.lru, tag);
+                let (h, v) = crate::simd::scan4(&b.tags, &b.lru, tag);
                 if h < 4 {
                     let h = h as usize;
                     b.lru[h] = stamp;
@@ -582,7 +580,7 @@ impl SetAssocCache {
                     None => {
                         // One scan finds residency and the victim
                         // (first empty way, else the LRU way) together.
-                        let (h, v) = crate::simd::scan4_probe(&b.tags, &b.lru, tag);
+                        let (h, v) = crate::simd::scan4(&b.tags, &b.lru, tag);
                         if h < 4 {
                             let h = h as usize;
                             b.lru[h] = stamp;

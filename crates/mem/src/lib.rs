@@ -43,4 +43,3 @@ pub use cache::{CacheGeometry, Eviction, SetAssocCache};
 pub use memory::{MemConfig, MemOutcome, MemStats, MemorySystem};
 pub use mshr::{MshrFile, MshrOutcome};
 pub use prefetch_buffer::{PrefetchBuffer, PrefetchBufferStats};
-pub use simd::SimdTier;

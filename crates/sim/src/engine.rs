@@ -22,12 +22,11 @@ use ebcp_mem::{
     MemOutcome, MemStats, MemorySystem, MshrFile, MshrOutcome, PrefetchBuffer, SetAssocCache,
 };
 use ebcp_prefetch::{Action, MissInfo, PrefetchHitInfo, Prefetcher};
-use ebcp_trace::ChunkSource;
 use ebcp_trace::TraceRecord;
 use ebcp_types::{AccessKind, Cycle, LineAddr, MemClass, Pc};
 
 use crate::config::SimConfig;
-use crate::frontend::{FrontEnd, PreEvent, ReplayCursor, Resolved, ResolvedOp};
+use crate::frontend::{FrontEnd, PreEvent, ReplayCursor};
 use crate::metrics::SimResult;
 
 #[derive(Debug, Clone, Copy)]
@@ -225,53 +224,36 @@ impl Engine {
         }
     }
 
-    /// Trace records per chunk for [`Engine::run_chunks`]: 4096 records
+    /// Trace records per chunk on the chunked trace paths (the
+    /// pre-resolution pass and the streamed pipeline): 4096 records
     /// (~64 KB) keeps the working chunk inside the host L2 while
-    /// amortizing the generator's per-call overhead over thousands of
-    /// steps.
+    /// amortizing the source's per-call overhead over thousands of
+    /// records.
     pub const CHUNK_RECORDS: usize = 4096;
-
-    /// Consumes `total` records from `gen` in reusable-buffer chunks.
-    ///
-    /// Produces exactly the same simulation as calling
-    /// [`Engine::step`] on `total` records pulled one at a time from
-    /// the source — every [`ChunkSource`] guarantees `next_chunk`
-    /// preserves the record sequence — but the hot loop runs over a
-    /// contiguous `&[TraceRecord]` instead of ticking an iterator per
-    /// record. The source may be a live [`TraceGenerator`] or an
-    /// on-disk [`ebcp_trace::SegmentedTrace`]; either way at most one
-    /// chunk (plus the source's own window) is resident.
-    pub fn run_chunks<S: ChunkSource>(&mut self, gen: &mut S, total: u64) {
-        let mut chunk = Vec::with_capacity(Self::CHUNK_RECORDS);
-        let mut left = total;
-        while left > 0 {
-            let want = Self::CHUNK_RECORDS.min(usize::try_from(left).unwrap_or(usize::MAX));
-            let got = gen.next_chunk(&mut chunk, want);
-            if got == 0 {
-                break;
-            }
-            for rec in &chunk {
-                self.step(rec);
-            }
-            left -= got as u64;
-        }
-    }
 
     /// Simulates one trace record: resolve the L1 front end, then run
     /// the back end. The two phases share no state (the front end never
     /// reads the clock, the back end never touches L1), which is what
     /// lets [`Engine::replay_events`] run the identical back end over a
     /// stream resolved long in advance.
+    ///
+    /// The record resolves to the packed stream encoding and runs the
+    /// replay's own [`Engine::step_event`], so stepping and replay share
+    /// one back end and cannot drift.
     #[inline]
     pub fn step(&mut self, rec: &TraceRecord) {
-        let r = self.fe.resolve(rec);
-        self.step_resolved(&r);
+        let (flags, dline) = self.fe.resolve_packed(rec);
+        self.step_event(&PreEvent {
+            pc: rec.pc.get(),
+            dline,
+            gap: 0,
+            flags,
+        });
     }
 
-    /// Everything [`Engine::step_resolved`] does before the data/control
+    /// Everything [`Engine::step_event`] does before the data/control
     /// op: retire work the clock caught up to, count the instruction,
-    /// run the fetch path and advance issue bandwidth. Shared verbatim
-    /// by the stepping and replay back ends so the two cannot drift.
+    /// run the fetch path and advance issue bandwidth.
     #[inline]
     fn pre_op(&mut self, ifetch_miss: bool, pc: Pc) {
         if !self.outstanding.is_empty() {
@@ -298,8 +280,7 @@ impl Engine {
         }
     }
 
-    /// Window termination conditions (§2.1) — the shared tail of both
-    /// back ends.
+    /// Window termination conditions (§2.1): the tail of every record.
     #[inline]
     fn post_op(&mut self) {
         if !self.outstanding.is_empty() {
@@ -315,45 +296,10 @@ impl Engine {
         }
     }
 
-    /// The prefetcher-dependent back end for one resolved record.
-    #[inline]
-    fn step_resolved(&mut self, r: &Resolved) {
-        self.pre_op(r.ifetch_miss, r.pc);
-
-        match r.op {
-            ResolvedOp::None => {}
-            ResolvedOp::LoadMiss {
-                line,
-                feeds_mispredict,
-            } => self.load_miss(line, r.pc, feeds_mispredict),
-            ResolvedOp::StoreMiss { line } => self.store_miss(line),
-            ResolvedOp::StoreHit { line } => {
-                // L1D write hit: only the dirty bit travels down.
-                self.l2.mark_dirty(line);
-            }
-            ResolvedOp::Mispredict => {
-                self.c.mispredicts += 1;
-                self.cycle += self.cfg.core.mispredict_penalty;
-            }
-            ResolvedOp::Serialize => {
-                if self.outstanding.is_empty() {
-                    self.cycle += self.cfg.core.serialize_cost;
-                } else {
-                    self.stall_all();
-                }
-            }
-        }
-
-        self.post_op();
-    }
-
-    /// The back end for one packed event, dispatching straight on the
-    /// stream encoding. Op for op this is [`Engine::step_resolved`] over
-    /// `ev.decode().unwrap()` — the prologue and epilogue are the same
-    /// functions — but skipping the intermediate [`Resolved`] removes a
-    /// second data-dependent dispatch from the replay hot path, which is
-    /// worth a measurable slice of sweep throughput. The differential
-    /// replay-vs-stepping tests pin the equivalence.
+    /// The prefetcher-dependent back end for one record, dispatching
+    /// straight on the packed stream encoding (`ev.gap` is ignored; a
+    /// `flags` of 0 is an inert record). Both [`Engine::step`] and the
+    /// replay paths run every event record through here.
     #[inline]
     fn step_event(&mut self, ev: &PreEvent) {
         use crate::frontend::{
@@ -390,42 +336,11 @@ impl Engine {
         self.post_op();
     }
 
-    /// An inert record for the back end: no fetch miss, no data op.
-    /// Exactly [`Engine::step_resolved`] with the fetch and op arms
-    /// skipped — [`Engine::gap_advance`] falls back to this whenever a
-    /// gap record is not provably inert.
-    fn step_plain(&mut self) {
-        if !self.outstanding.is_empty() {
-            self.drain_outstanding();
-        }
-        if self.next_ev_at <= self.cycle {
-            self.drain_events(self.cycle);
-        }
-        self.insts += 1;
-        self.issue_slots += 1;
-        if self.issue_slots >= self.cfg.core.issue_width {
-            self.cycle += 1;
-            self.issue_slots = 0;
-        }
-        if !self.outstanding.is_empty() {
-            self.window_insts += 1;
-            if self.window_insts >= self.cfg.core.rob_entries {
-                self.stall_all();
-            } else if let Some(cd) = self.dep_countdown {
-                if cd == 0 {
-                    self.stall_all();
-                } else {
-                    self.dep_countdown = Some(cd - 1);
-                }
-            }
-        }
-    }
-
     /// Replays up to `budget` instructions from a pre-resolved stream,
     /// resuming at (and updating) `cur`. Produces state byte-identical
     /// to stepping the underlying records through
     /// [`Engine::step`] — the stream's events run the same
-    /// [`Engine::step_resolved`], and gaps advance through
+    /// [`Engine::step_event`], and gaps advance through
     /// [`Engine::gap_advance`], which is an exact algebraic collapse of
     /// consecutive inert records.
     ///
@@ -762,8 +677,9 @@ impl Engine {
     ///   countdown reaching zero.
     ///
     /// The loop jumps to the nearest deadline arithmetically, executes
-    /// that single record through the full [`Engine::step_plain`] state
-    /// machine, and repeats. With nothing outstanding, none of the
+    /// that single record through the full per-record state machine
+    /// ([`Engine::pre_op`] + [`Engine::post_op`] with no fetch miss and
+    /// no data op), and repeats. With nothing outstanding, none of the
     /// window machinery can fire and whole gaps collapse to O(events
     /// due) work.
     fn gap_advance(&mut self, mut n: u64) {
@@ -825,7 +741,8 @@ impl Engine {
                 }
             }
             // The deadline record itself: full per-record machinery.
-            self.step_plain();
+            self.pre_op(false, Pc::new(0));
+            self.post_op();
             n -= 1;
         }
     }

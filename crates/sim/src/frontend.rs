@@ -22,9 +22,12 @@
 //!
 //! Replay produces results byte-identical to full per-record stepping
 //! because both paths execute the *same* back-end state machine
-//! (`Engine::step_resolved`) on the same [`Resolved`] sequence; the only
-//! thing replay elides is the per-record L1 scan whose outcome was
-//! already computed. A fig4–fig9 sweep therefore pays the front-end
+//! (`Engine::step_event`) on the same packed [`PreEvent`] sequence —
+//! stepping resolves each record with `FrontEnd::resolve_packed` and
+//! runs it at once; the only thing replay elides is the per-record L1
+//! scan whose outcome was already computed. [`FrontEnd::resolve`] and
+//! [`PreEvent::decode`] spell the same encoding out as a [`Resolved`]
+//! value: the reference the packed front end is tested against. A fig4–fig9 sweep therefore pays the front-end
 //! cost once per workload instead of once per (workload × prefetcher)
 //! cell.
 //!

@@ -57,7 +57,6 @@ pub use cmp::{CmpEngine, CmpResult};
 pub use cmp_stepping::SteppingCmpEngine;
 pub use config::{CoreConfig, SimConfig};
 pub use des::{Tick, WakeHeap};
-pub use ebcp_mem::SimdTier;
 pub use engine::Engine;
 pub use frontend::{
     segment_events, FrontEnd, PreBlock, PreEvent, PreResolved, PreResolver, ReplayCursor,
@@ -67,6 +66,5 @@ pub use metrics::SimResult;
 pub use runner::{CmpSpec, PrefetcherSpec, RunSpec};
 pub use segment::{
     lockstep_lanes, replay_blocks, run_pipelined, run_preresolved_blocks,
-    run_preresolved_blocks_many, run_scatter, run_scatter_spans_with, run_scatter_with,
-    run_stream_pipeline, ReplayFeeder, ReplayTarget, SegmentSink,
+    run_preresolved_blocks_many, run_stream_pipeline, ReplayFeeder, ReplayTarget, SegmentSink,
 };

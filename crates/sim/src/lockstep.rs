@@ -17,9 +17,9 @@
 //! * **SoA lane state.** While every lane is *idle* (nothing
 //!   outstanding, no heap event due) the fast pass keeps per-lane
 //!   `cycle[]`/`next_ev[]` in flat arrays and advances them with the
-//!   runtime-dispatched SIMD kernels of `ebcp_mem::simd`
-//!   ([`add_broadcast`], [`any_due`]); event decode, gap collapse, and
-//!   the deadline test are paid once per entry for the whole group.
+//!   plain lane loops of `ebcp_mem::simd` ([`add_broadcast`],
+//!   [`any_due`]); event decode, gap collapse, and the deadline test
+//!   are paid once per entry for the whole group.
 //! * **Per-entry fallback.** When any lane has a miss window open, the
 //!   group processes one entry at a time: each lane takes the
 //!   single-entry fast specialization if it qualifies, else the exact
@@ -30,7 +30,7 @@
 //! entry in submission order, each lane's operation sequence is
 //! *exactly* the serial replay's — results are byte-identical by
 //! construction, and `crates/bench/tests/lockstep.rs` enforces it over
-//! the full roster × workload matrix on every SIMD tier.
+//! the full roster × workload matrix.
 //!
 //! **Fault isolation.** Prefetcher code only runs inside the
 //! miss-continuation and general-path calls; each is wrapped in
@@ -43,7 +43,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ebcp_mem::simd::{self, SimdTier};
+use ebcp_mem::simd;
 use ebcp_types::{LineAddr, Pc};
 
 use crate::engine::Engine;
@@ -87,11 +87,10 @@ pub struct Lockstep {
     next_soa: Vec<u64>,
     /// Scratch: live-lane positions whose L2 probe missed this entry.
     missed: Vec<usize>,
-    tier: SimdTier,
 }
 
 impl Lockstep {
-    /// A lockstep group over `engines`, using the detected SIMD tier.
+    /// A lockstep group over `engines`.
     ///
     /// # Panics
     ///
@@ -99,23 +98,7 @@ impl Lockstep {
     /// configuration (lanes must share the timing model exactly for
     /// the shared clock scalars to be valid).
     pub fn new(engines: Vec<Engine>) -> Self {
-        Self::with_tier(engines, simd::tier())
-    }
-
-    /// Like [`Lockstep::new`] with an explicit SIMD tier, so tests can
-    /// exercise the scalar and SSE2 fallbacks deliberately. All tiers
-    /// are bit-identical; this never changes results.
-    ///
-    /// # Panics
-    ///
-    /// Additionally panics if `tier` is not available on this host.
-    pub fn with_tier(engines: Vec<Engine>, tier: SimdTier) -> Self {
         assert!(!engines.is_empty(), "a lockstep group needs >= 1 lane");
-        assert!(
-            tier.available(),
-            "SIMD tier {} is not available on this host",
-            tier.label()
-        );
         let cfg = *engines[0].lane_cfg();
         for e in &engines[1..] {
             assert!(
@@ -133,7 +116,6 @@ impl Lockstep {
             cycle_soa: Vec::new(),
             next_soa: Vec::new(),
             missed: Vec::new(),
-            tier,
         }
     }
 
@@ -194,7 +176,7 @@ impl Lockstep {
                 return;
             }
             // Group fast pass: every live lane idle, SoA clock state,
-            // SIMD lane advance. Mirrors `Engine::replay_fast`.
+            // one lane loop per advance. Mirrors `Engine::replay_fast`.
             if pow2 && left > 0 && self.all_live_idle() {
                 self.fast_pass(events, cur, &mut left);
                 self.refresh_live();
@@ -262,9 +244,7 @@ impl Lockstep {
             cycle_soa,
             next_soa,
             missed,
-            tier,
         } = self;
-        let tier = *tier;
         let cfg = *lanes[live[0]].engine.lane_cfg();
         let shift = cfg.core.issue_width.trailing_zeros();
         let mask = u64::from(cfg.core.issue_width) - 1;
@@ -306,7 +286,7 @@ impl Lockstep {
             // Any lane whose heap deadline falls within this entry
             // sends the whole group back to the general path.
             let step = (slots + gap_left) >> shift;
-            if simd::any_due(tier, next_soa, cycle_soa, step) {
+            if simd::any_due(next_soa, cycle_soa, step) {
                 break;
             }
 
@@ -316,7 +296,7 @@ impl Lockstep {
             slots += gap_left + 1;
             let inc = slots >> shift;
             slots &= mask;
-            simd::add_broadcast(tier, cycle_soa, inc);
+            simd::add_broadcast(cycle_soa, inc);
 
             let line = LineAddr::from_index(ev.dline);
             match ev.flags >> K_SHIFT {
@@ -402,10 +382,10 @@ impl Lockstep {
                 }
                 K_MISPREDICT => {
                     mp += 1;
-                    simd::add_broadcast(tier, cycle_soa, mp_pen);
+                    simd::add_broadcast(cycle_soa, mp_pen);
                 }
                 K_SERIALIZE => {
-                    simd::add_broadcast(tier, cycle_soa, ser_cost);
+                    simd::add_broadcast(cycle_soa, ser_cost);
                 }
                 other => unreachable!("corrupt PreEvent kind {other}"),
             }

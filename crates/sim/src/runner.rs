@@ -13,9 +13,9 @@ use serde::{Deserialize, Serialize};
 use crate::cmp::{CmpEngine, CmpResult};
 use crate::config::SimConfig;
 use crate::engine::Engine;
-use crate::frontend::{PreResolved, PreResolver, ReplayCursor};
-use crate::lockstep::Lockstep;
+use crate::frontend::{PreResolved, PreResolver};
 use crate::metrics::SimResult;
+use crate::segment::{lockstep_lanes, ReplayFeeder, ReplayTarget};
 
 pub use ebcp_trace::template::WorkloadProgram as Program;
 
@@ -143,19 +143,6 @@ impl RunSpec {
         self.run_on(&trace, pf)
     }
 
-    /// Runs a prefetcher streaming the trace from the generator instead
-    /// of materializing it — constant memory, so full-scale traces
-    /// (hundreds of millions of records) stay feasible. Pass a shared
-    /// pre-built program to avoid rebuilding templates per run.
-    pub fn run_streaming(&self, program: Arc<WorkloadProgram>, pf: &PrefetcherSpec) -> SimResult {
-        let mut gen = TraceGenerator::with_program(program, self.workload.clone(), self.seed);
-        let mut engine = Engine::new(self.sim, pf.build());
-        engine.run_chunks(&mut gen, self.warmup_insts);
-        engine.reset_stats();
-        engine.run_chunks(&mut gen, self.measure_insts);
-        engine.result(&self.workload.name)
-    }
-
     /// Runs a prefetcher over a pre-materialized trace.
     pub fn run_on(&self, trace: &[TraceRecord], pf: &PrefetcherSpec) -> SimResult {
         let mut engine = Engine::new(self.sim, pf.build());
@@ -222,16 +209,12 @@ impl RunSpec {
             self.workload.name,
             pf.name(),
         );
-        let mut engine = Engine::new(self.sim, pf.build());
-        let mut cur = ReplayCursor::default();
-        engine.replay_events(&pre.events, &mut cur, self.warmup_insts);
-        engine.reset_stats();
-        engine.replay_events(&pre.events, &mut cur, self.measure_insts);
-        engine.result(&self.workload.name)
+        self.replay_stream(pre, Engine::new(self.sim, pf.build()))
+            .result(&self.workload.name)
     }
 
     /// Runs a whole roster of prefetchers over one pre-resolved stream
-    /// in a single lockstep pass (see [`Lockstep`]) — each lane's
+    /// in a single lockstep pass (see [`crate::Lockstep`]) — each lane's
     /// result byte-identical to its own [`RunSpec::run_preresolved`]
     /// call, at amortized stream cost.
     ///
@@ -248,18 +231,6 @@ impl RunSpec {
         pre: &PreResolved,
         pfs: &[PrefetcherSpec],
     ) -> Vec<Result<SimResult, String>> {
-        self.run_preresolved_many_with(pre, pfs, ebcp_mem::simd::tier())
-    }
-
-    /// [`RunSpec::run_preresolved_many`] with an explicit SIMD tier
-    /// (all tiers are bit-identical; tests use this to exercise the
-    /// scalar and SSE2 fallback paths).
-    pub fn run_preresolved_many_with(
-        &self,
-        pre: &PreResolved,
-        pfs: &[PrefetcherSpec],
-        tier: ebcp_mem::SimdTier,
-    ) -> Vec<Result<SimResult, String>> {
         assert_eq!(
             (pre.l1i, pre.l1d),
             (self.sim.l1i, self.sim.l1d),
@@ -267,16 +238,16 @@ impl RunSpec {
              stream describes a different machine and must be rebuilt",
             self.workload.name,
         );
-        let engines = pfs
-            .iter()
-            .map(|pf| Engine::new(self.sim, pf.build()))
-            .collect();
-        let mut group = Lockstep::with_tier(engines, tier);
-        let mut cur = ReplayCursor::default();
-        group.replay(&pre.events, &mut cur, self.warmup_insts);
-        group.reset_stats();
-        group.replay(&pre.events, &mut cur, self.measure_insts);
-        group.results(&self.workload.name)
+        self.replay_stream(pre, lockstep_lanes(self, pfs))
+            .results(&self.workload.name)
+    }
+
+    /// Feeds the whole stream to `target` through the warm-up/measure
+    /// protocol of [`ReplayFeeder`].
+    fn replay_stream<T: ReplayTarget>(&self, pre: &PreResolved, target: T) -> T {
+        let mut feeder = ReplayFeeder::new(self, target);
+        feeder.feed(&pre.events, pre.records);
+        feeder.into_inner()
     }
 }
 
@@ -494,19 +465,6 @@ mod tests {
         );
     }
 
-    /// The chunked streaming path (`run_chunks` over generator refills)
-    /// must be observationally identical to stepping a materialized
-    /// trace record by record — same counters, cycles and stats.
-    #[test]
-    fn chunked_and_stepped_runs_agree() {
-        let spec = quick_spec();
-        let pf = PrefetcherSpec::Ebcp(EbcpConfig::tuned());
-        let stepped = spec.run_on(&spec.materialize(), &pf);
-        let program = Arc::new(WorkloadProgram::build(&spec.workload));
-        let chunked = spec.run_streaming(program, &pf);
-        assert_eq!(stepped, chunked);
-    }
-
     /// Runs `spec` over a hand-built trace both ways — per-record
     /// stepping and pre-resolved replay — and asserts byte-identical
     /// results.
@@ -654,6 +612,20 @@ mod tests {
     }
 
     #[test]
+    fn edge_stream_shorter_than_warmup() {
+        use ebcp_types::{Addr, Pc};
+        // The whole trace is warm-up: stepping resets the counters at
+        // its end, and replay must report the same empty measurement.
+        let mut t: Vec<TraceRecord> = (0..64)
+            .map(|i| TraceRecord::alu(Pc::new(0x1000 + 4 * (i % 16))))
+            .collect();
+        t.push(TraceRecord::load(Pc::new(0x1000), Addr::new(0x80_0000)));
+        let spec = edge_spec(1_000, 1_000);
+        let r = assert_replay_identical(&spec, &t, &PrefetcherSpec::None);
+        assert_eq!((r.insts, r.l2_load_misses), (0, 0));
+    }
+
+    #[test]
     fn runs_are_deterministic() {
         let spec = quick_spec();
         let a = spec.run(&PrefetcherSpec::Ebcp(EbcpConfig::tuned()));
@@ -724,7 +696,7 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_matches_serial_preresolved_replay_on_every_tier() {
+    fn lockstep_matches_serial_preresolved_replay() {
         let spec = quick_spec();
         let pre = spec.pre_resolve();
         let pfs = vec![
@@ -739,17 +711,9 @@ mod tests {
             .iter()
             .map(|pf| spec.run_preresolved(&pre, pf))
             .collect();
-        for tier in ebcp_mem::SimdTier::available_tiers() {
-            let lock = spec.run_preresolved_many_with(&pre, &pfs, tier);
-            for ((s, l), pf) in serial.iter().zip(&lock).zip(&pfs) {
-                assert_eq!(
-                    s,
-                    l.as_ref().unwrap(),
-                    "lane {} diverged on tier {}",
-                    pf.name(),
-                    tier.label()
-                );
-            }
+        let lock = spec.run_preresolved_many(&pre, &pfs);
+        for ((s, l), pf) in serial.iter().zip(&lock).zip(&pfs) {
+            assert_eq!(s, l.as_ref().unwrap(), "lane {} diverged", pf.name());
         }
     }
 

@@ -1,39 +1,23 @@
-//! Segment-at-a-time and segment-parallel execution.
+//! Segment-at-a-time execution.
 //!
 //! The large trace tier cannot afford `run_preresolved`'s contract of
 //! one materialized event stream per job. This module replays a job
-//! from bounded [`PreBlock`]s instead, in three modes:
+//! from bounded [`PreBlock`]s instead, in two exact modes:
 //!
-//! * [`run_preresolved_blocks`] — **serial, exact**: one engine
-//!   consumes blocks back to back. State handoff between segments is
-//!   complete by construction (it is the same engine), so the result
-//!   is byte-identical to replaying the unsplit stream; peak memory is
+//! * [`run_preresolved_blocks`] — **serial**: one engine consumes
+//!   blocks back to back. State handoff between segments is complete by
+//!   construction (it is the same engine), so the result is
+//!   byte-identical to replaying the unsplit stream; peak memory is
 //!   O(block).
-//! * [`run_stream_pipeline`] — **two-stage pipeline, exact**: a
-//!   producer thread pulls trace chunks from a [`ChunkSource`] while
-//!   the calling thread resolves each chunk, hands the complete entries
-//!   to a [`SegmentSink`] (the harness's on-disk stream writer, or
-//!   nothing) and replays them at once on one engine or a lockstep
-//!   group. Same computation as the serial mode (the channel preserves
-//!   order, the cut is entry-aligned and the engine is continuous),
-//!   with trace production overlapped and no segment-sized buffer
-//!   resident. [`run_pipelined`] is its one-lane, no-sink form.
-//! * [`run_scatter`] / [`run_scatter_with`] — **segment-parallel,
-//!   documented tolerance**: blocks that intersect the measured region
-//!   are handled by independent workers, each warming on the `overlap`
-//!   preceding blocks from a cold engine, and the per-block statistic
-//!   deltas are spliced with [`SimResult::accumulate`]. Handoff here is
-//!   *incomplete* — a worker reconstructs cache/MSHR/prefetcher state
-//!   by replaying the overlap window rather than receiving the exact
-//!   state — so results approximate the monolithic run within a
-//!   tolerance that shrinks as `overlap` grows (the equivalence battery
-//!   pins the tolerance; DESIGN.md §3f has the rationale). Output is
-//!   deterministic for a given (blocks, overlap) regardless of thread
-//!   count and scheduling. This is the ≥2-worker configuration that
-//!   beats a single worker on wall-clock: workers skip the serial
-//!   replay of every block before their overlap window, so a long
-//!   warm-up prefix — the bulk of a large-tier trace — costs each
-//!   worker only its overlap replays.
+//! * [`run_stream_pipeline`] — **two-stage pipeline**: a producer
+//!   thread pulls trace chunks from a [`ChunkSource`] while the calling
+//!   thread resolves each chunk, hands the complete entries to a
+//!   [`SegmentSink`] (the harness's on-disk stream writer, or nothing)
+//!   and replays them at once on one engine or a lockstep group. Same
+//!   computation as the serial mode (the channel preserves order, the
+//!   cut is entry-aligned and the engine is continuous), with trace
+//!   production overlapped and no segment-sized buffer resident.
+//!   [`run_pipelined`] is its one-lane, no-sink form.
 //!
 //! Budget arithmetic: `Engine::replay_events` consumes exactly
 //! `min(budget, records remaining in the block)` instructions, so the
@@ -45,8 +29,7 @@
 use std::borrow::Borrow;
 use std::io;
 use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 
 use ebcp_trace::template::WorkloadProgram;
 use ebcp_trace::{ChunkSource, TraceGenerator, TraceRecord};
@@ -138,8 +121,14 @@ impl<T: ReplayTarget> ReplayFeeder<T> {
         self.meas_left == 0
     }
 
-    /// The target, for its results.
-    pub fn into_inner(self) -> T {
+    /// The target, for its results. A stream that ended inside the
+    /// warm-up still crosses the boundary here, as stepping does
+    /// (`RunSpec::run_on`): the counters then read zero, not warm-up
+    /// activity.
+    pub fn into_inner(mut self) -> T {
+        if self.warm_left > 0 {
+            self.target.reset_stats();
+        }
         self.target
     }
 }
@@ -387,212 +376,6 @@ pub fn run_pipelined(
         .result(&spec.workload.name)
 }
 
-/// Segment-parallel scatter run over pre-cut blocks.
-///
-/// Every block whose records intersect the measured region is handled
-/// by a worker that reconstructs warm state by replaying the `overlap`
-/// preceding blocks (and the unmeasured prefix of its own block) on a
-/// cold engine, then measures its block; the per-block deltas are
-/// spliced in block order. Approximate — see the module docs — but
-/// deterministic: the splice is ordered by block index, so the result
-/// is independent of `threads` and scheduling.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero or the blocks cover fewer than
-/// `warmup + measure` records.
-pub fn run_scatter(
-    spec: &RunSpec,
-    blocks: &[PreBlock],
-    pf: &PrefetcherSpec,
-    overlap: usize,
-    threads: usize,
-) -> SimResult {
-    let records: Vec<u64> = blocks.iter().map(|b| b.records).collect();
-    run_scatter_with(
-        spec,
-        &records,
-        || |k: usize| &blocks[k],
-        pf,
-        overlap,
-        threads,
-    )
-}
-
-/// [`run_scatter`] over blocks fetched on demand instead of a
-/// materialized slice, so the resident set stays O(segment × workers)
-/// even when the block sequence itself would not fit in memory (a
-/// 100× trace read back from a pre-resolved disk stream).
-///
-/// `block_records[k]` gives the record count of block `k` (streams
-/// carry this in their index, so no block needs to be read to compute
-/// the task set). `reader()` is called once per worker; the returned
-/// closure must yield block `k` of the same logical stream for any
-/// `k` a worker asks for — each worker holds at most one fetched block
-/// at a time. [`run_scatter`] delegates here with a slice-borrowing
-/// reader, so the two are splice-identical by construction.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero or the blocks cover fewer than
-/// `warmup + measure` records.
-pub fn run_scatter_with<G, F, B>(
-    spec: &RunSpec,
-    block_records: &[u64],
-    reader: G,
-    pf: &PrefetcherSpec,
-    overlap: usize,
-    threads: usize,
-) -> SimResult
-where
-    G: Fn() -> F + Sync,
-    F: FnMut(usize) -> B,
-    B: Borrow<PreBlock>,
-{
-    run_scatter_spans_with(
-        spec,
-        block_records,
-        reader,
-        pf,
-        overlap,
-        usize::MAX,
-        threads,
-    )
-}
-
-/// [`run_scatter_with`] with the splice granularity decoupled from the
-/// block count: the blocks intersecting the measured region are
-/// partitioned into at most `spans` contiguous spans, and each span is
-/// one worker task — overlap warm-up replays once per *span*, then the
-/// span's blocks replay continuously on the same engine (complete
-/// handoff inside a span, exactly like the serial mode).
-///
-/// This is the knob that makes scatter profitable when the measured
-/// region is wide: with one span per block, a region of `m` blocks
-/// costs `m × (overlap + 1)` block replays — more than the serial
-/// replay of the whole trace once `overlap + 1` exceeds the
-/// trace-to-region ratio. A handful of spans costs
-/// `m + spans × overlap` instead, while still skipping the serial
-/// warm-up prefix that dominates a large-tier trace.
-///
-/// Fewer spans also means fewer cold-start seams, so the approximation
-/// error only tightens as `spans` shrinks (at `spans == 1` with enough
-/// overlap to reach the trace start, the run is the exact serial
-/// replay). The result is deterministic for a given
-/// `(blocks, overlap, spans)` — `threads` only changes wall-clock.
-///
-/// # Panics
-///
-/// Panics if `threads` or `spans` is zero or the blocks cover fewer
-/// than `warmup + measure` records.
-pub fn run_scatter_spans_with<G, F, B>(
-    spec: &RunSpec,
-    block_records: &[u64],
-    reader: G,
-    pf: &PrefetcherSpec,
-    overlap: usize,
-    spans: usize,
-    threads: usize,
-) -> SimResult
-where
-    G: Fn() -> F + Sync,
-    F: FnMut(usize) -> B,
-    B: Borrow<PreBlock>,
-{
-    assert!(threads > 0, "at least one worker");
-    assert!(spans > 0, "at least one span");
-    let covered: u64 = block_records.iter().sum();
-    assert!(
-        covered >= spec.warmup_insts + spec.measure_insts,
-        "blocks cover {covered} records, spec needs {}",
-        spec.warmup_insts + spec.measure_insts
-    );
-    // Absolute record offset of each block's first record.
-    let starts: Vec<u64> = block_records
-        .iter()
-        .scan(0u64, |acc, r| {
-            let s = *acc;
-            *acc += r;
-            Some(s)
-        })
-        .collect();
-    let ws = spec.warmup_insts;
-    let we = spec.warmup_insts + spec.measure_insts;
-    // Blocks intersecting the measured region form one contiguous run.
-    let measured: Vec<usize> = (0..block_records.len())
-        .filter(|&k| starts[k] < we && starts[k] + block_records[k] > ws)
-        .collect();
-    let first = *measured.first().expect("at least one measured block");
-    let n = measured.len();
-    let spans_n = spans.min(n);
-    // Near-equal contiguous partition of the measured run.
-    let bounds: Vec<(usize, usize)> = (0..spans_n)
-        .map(|i| (first + i * n / spans_n, first + (i + 1) * n / spans_n - 1))
-        .collect();
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<SimResult>>> = Mutex::new(vec![None; bounds.len()]);
-    let workers = threads.min(bounds.len());
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut fetch = reader();
-                loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= bounds.len() {
-                        return;
-                    }
-                    let (a, b) = bounds[t];
-                    let mut engine = Engine::new(spec.sim, pf.build());
-                    for j in a.saturating_sub(overlap)..a {
-                        let block = fetch(j);
-                        let block = block.borrow();
-                        let mut cur = ReplayCursor::default();
-                        engine.replay_events(&block.events, &mut cur, block.records);
-                    }
-                    let mut measuring = starts[a] >= ws;
-                    if measuring {
-                        engine.reset_stats();
-                    }
-                    for k in a..=b {
-                        let block = fetch(k);
-                        let block = block.borrow();
-                        let mut cur = ReplayCursor::default();
-                        let mut off = starts[k];
-                        let mut left = block_records[k];
-                        if !measuring {
-                            // Only the first span can start pre-warm-up,
-                            // and the prefix always ends inside it (the
-                            // block intersects the measured region).
-                            let prefix = ws - off;
-                            engine.replay_events(&block.events, &mut cur, prefix);
-                            off += prefix;
-                            left -= prefix;
-                            engine.reset_stats();
-                            measuring = true;
-                        }
-                        let take = (we - off).min(left);
-                        engine.replay_events(&block.events, &mut cur, take);
-                        if off + take == we {
-                            break;
-                        }
-                    }
-                    slots.lock().expect("scatter slots")[t] =
-                        Some(engine.result(&spec.workload.name));
-                }
-            });
-        }
-    });
-
-    let parts = slots.into_inner().expect("scatter slots");
-    let mut it = parts.into_iter().map(|r| r.expect("worker filled slot"));
-    let mut total = it.next().expect("at least one span");
-    for part in it {
-        total.accumulate(&part);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -814,118 +597,5 @@ mod tests {
             run_pipelined(&spec, program, 9_973, &pf)
         }));
         assert!(failed.is_err(), "the lane's panic reaches the caller");
-    }
-
-    #[test]
-    fn scatter_is_deterministic_and_close() {
-        let spec = quick_spec();
-        let pre = spec.pre_resolve();
-        let pf = PrefetcherSpec::Ebcp(EbcpConfig::tuned());
-        let mono = spec.run_preresolved(&pre, &pf);
-        let blocks = segment_events(&pre, 15_000);
-        // Overlap must cover the 60k-record warm-up (4 blocks) for the
-        // reconstruction to be faithful at this tiny scale; measured
-        // error is then ~1.5% (overlap 1 leaves ~22% cold-start error —
-        // the convergence table lives in DESIGN.md §3f).
-        let a = run_scatter(&spec, &blocks, &pf, 4, 4);
-        let b = run_scatter(&spec, &blocks, &pf, 4, 1);
-        assert_eq!(a, b, "scatter must not depend on worker count");
-        assert_eq!(a.insts, spec.measure_insts, "splice covers the region");
-        let rel = (a.cpi() - mono.cpi()).abs() / mono.cpi();
-        assert!(
-            rel < 0.05,
-            "scatter CPI {:.4} vs monolithic {:.4} ({:.1}% off)",
-            a.cpi(),
-            mono.cpi(),
-            rel * 100.0
-        );
-    }
-
-    #[test]
-    fn scatter_with_on_demand_reader_matches_slice_scatter() {
-        let spec = quick_spec();
-        let pre = spec.pre_resolve();
-        let pf = PrefetcherSpec::Ebcp(EbcpConfig::tuned());
-        let blocks = segment_events(&pre, 15_000);
-        let records: Vec<u64> = blocks.iter().map(|b| b.records).collect();
-        let by_slice = run_scatter(&spec, &blocks, &pf, 4, 4);
-        // An owning reader that clones each block on demand stands in
-        // for a disk-backed stream reopened per worker.
-        let by_fetch =
-            run_scatter_with(&spec, &records, || |k: usize| blocks[k].clone(), &pf, 4, 2);
-        assert_eq!(by_slice, by_fetch);
-    }
-
-    #[test]
-    fn span_scatter_specializes_to_per_block_scatter_and_tightens_with_fewer_spans() {
-        let spec = quick_spec();
-        let pre = spec.pre_resolve();
-        let pf = PrefetcherSpec::Ebcp(EbcpConfig::tuned());
-        let mono = spec.run_preresolved(&pre, &pf);
-        let blocks = segment_events(&pre, 15_000);
-        let records: Vec<u64> = blocks.iter().map(|b| b.records).collect();
-        let per_block = run_scatter(&spec, &blocks, &pf, 4, 4);
-        // One span per measured block is exactly the per-block mode.
-        let max_spans = run_scatter_spans_with(
-            &spec,
-            &records,
-            || |k: usize| &blocks[k],
-            &pf,
-            4,
-            usize::MAX,
-            4,
-        );
-        assert_eq!(per_block, max_spans);
-        // Fewer spans: deterministic across thread counts, and at
-        // least as close to the monolithic run (fewer cold seams).
-        let spans2_a =
-            run_scatter_spans_with(&spec, &records, || |k: usize| &blocks[k], &pf, 4, 2, 4);
-        let spans2_b =
-            run_scatter_spans_with(&spec, &records, || |k: usize| &blocks[k], &pf, 4, 2, 1);
-        assert_eq!(
-            spans2_a, spans2_b,
-            "span scatter must not depend on worker count"
-        );
-        assert_eq!(
-            spans2_a.insts, spec.measure_insts,
-            "splice covers the region"
-        );
-        let err = |r: &SimResult| (r.cpi() - mono.cpi()).abs() / mono.cpi();
-        assert!(
-            err(&spans2_a) <= err(&per_block) + 1e-9,
-            "fewer seams, no worse: {:.4} vs {:.4}",
-            err(&spans2_a),
-            err(&per_block)
-        );
-        // One span warmed all the way back to the trace start replays
-        // the exact monolithic history.
-        let full = run_scatter_spans_with(
-            &spec,
-            &records,
-            || |k: usize| &blocks[k],
-            &pf,
-            blocks.len(),
-            1,
-            4,
-        );
-        assert_eq!(full, mono, "one fully-overlapped span is exact");
-    }
-
-    #[test]
-    fn scatter_overlap_tightens_the_approximation() {
-        let spec = quick_spec();
-        let pre = spec.pre_resolve();
-        let pf = PrefetcherSpec::None;
-        let mono = spec.run_preresolved(&pre, &pf);
-        let blocks = segment_events(&pre, 10_000);
-        let err = |overlap| {
-            let r = run_scatter(&spec, &blocks, &pf, overlap, 4);
-            (r.cpi() - mono.cpi()).abs() / mono.cpi()
-        };
-        // With the whole prefix as overlap the handoff is complete:
-        // every worker replays exactly the monolithic history.
-        let full = run_scatter(&spec, &blocks, &pf, blocks.len(), 4);
-        assert_eq!(full, mono, "full overlap is exact");
-        assert!(err(2) <= err(0) + 1e-9, "more overlap, no worse");
     }
 }

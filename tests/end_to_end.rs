@@ -1,8 +1,6 @@
 //! Cross-crate integration tests: whole-system behaviour on synthetic
 //! workloads.
 
-use std::sync::Arc;
-
 use ebcp::core::EbcpConfig;
 use ebcp::prefetch::{BaselineConfig, GhbConfig, SolihinConfig, StreamConfig};
 use ebcp::sim::{PrefetcherSpec, RunSpec, SimConfig};
@@ -156,19 +154,6 @@ fn coverage_and_accuracy_are_probabilities() {
         );
         assert!(r.pf_useful() <= r.pf_issued + r.partial_hits);
     }
-}
-
-#[test]
-fn streaming_and_materialized_runs_agree() {
-    let spec = spec();
-    let trace = spec.materialize();
-    let program = Arc::new(ebcp::trace::template::WorkloadProgram::build(
-        &spec.workload,
-    ));
-    let pf = PrefetcherSpec::Ebcp(EbcpConfig::tuned().with_table_entries(table_entries()));
-    let a = spec.run_on(&trace, &pf);
-    let b = spec.run_streaming(program, &pf);
-    assert_eq!(a, b, "streamed and materialized runs must be identical");
 }
 
 #[test]
